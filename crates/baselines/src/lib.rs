@@ -20,6 +20,10 @@
 //!
 //! Every analyzer is deterministic: "timeouts" are exhausted work budgets (counted in
 //! solver attempts), not wall-clock races.
+//!
+//! Each profile owns an [`AnalysisSession`] built for its own [`InferOptions`], so
+//! every profile gets the session pipeline's summary cache, method tier and panic
+//! isolation, and repeated programs are served from that profile's cache.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,10 +31,7 @@
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-use tnt_infer::{
-    analyze_program, AnalysisResult, AnalysisSession, InferError, InferOptions, Verdict,
-};
-use tnt_lang::ast::Program;
+use tnt_infer::{AnalysisSession, InferOptions, Verdict};
 
 /// The answer of a tool on one benchmark program (the columns of Fig. 10/11).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,24 +73,22 @@ pub trait Analyzer {
 
     /// Analyses one program (source text in the core language).
     fn run(&self, source: &str) -> ToolRun;
+
+    /// The profile's own analysis session (for its reuse/spending counters).
+    fn session(&self) -> &AnalysisSession;
 }
 
-fn frontend(source: &str) -> Option<Program> {
-    tnt_lang::frontend(source).ok()
+/// A session for one profile's options.
+fn session_for(options: InferOptions) -> Arc<AnalysisSession> {
+    Arc::new(AnalysisSession::new(options))
 }
 
-/// Analyses a program through the shared [`AnalysisSession`] when one is
-/// attached (the summary cache keys on the canonical program *and* the options
-/// fingerprint, so differently-configured profiles can share one session), and
-/// directly otherwise.
-fn analyze(
-    session: &Option<Arc<AnalysisSession>>,
-    program: &Program,
-    options: &InferOptions,
-) -> Result<AnalysisResult, InferError> {
-    match session {
-        Some(session) => session.analyze_program_with(program, options),
-        None => analyze_program(program, options),
+/// The options of the profiles that switch off case splitting (AProVE, T2).
+fn no_case_split() -> InferOptions {
+    InferOptions {
+        enable_case_split: false,
+        validate: false,
+        ..InferOptions::default()
     }
 }
 
@@ -102,28 +101,24 @@ fn verdict_to_answer(verdict: Verdict) -> Answer {
 }
 
 /// The full HIPTNT+ reproduction, wrapped for the harness.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct HipTntPlus {
-    /// Inference options (defaults are the paper's configuration).
-    pub options: InferOptions,
-    /// Optional shared batch session (see [`HipTntPlus::with_session`]).
-    session: Option<Arc<AnalysisSession>>,
+    session: Arc<AnalysisSession>,
+}
+
+impl Default for HipTntPlus {
+    /// The paper's configuration.
+    fn default() -> Self {
+        HipTntPlus::with_options(InferOptions::default())
+    }
 }
 
 impl HipTntPlus {
-    /// A profile with explicit options and no shared session.
+    /// A profile with explicit inference options (e.g. an ablation switch).
     pub fn with_options(options: InferOptions) -> HipTntPlus {
         HipTntPlus {
-            options,
-            session: None,
+            session: session_for(options),
         }
-    }
-
-    /// Attaches a shared [`AnalysisSession`], so repeated programs (and repeated
-    /// profiles over the same corpus) are served from its summary cache.
-    pub fn with_session(mut self, session: Arc<AnalysisSession>) -> HipTntPlus {
-        self.session = Some(session);
-        self
     }
 }
 
@@ -134,22 +129,23 @@ impl Analyzer for HipTntPlus {
 
     fn run(&self, source: &str) -> ToolRun {
         let start = Instant::now();
-        let answer = match frontend(source) {
-            None => Answer::Unknown,
-            Some(program) => match analyze(&self.session, &program, &self.options) {
-                Ok(result) => match result.program_verdict() {
-                    // An inconclusive verdict caused by budget exhaustion is the
-                    // deterministic analogue of the paper's T/O outcome.
-                    Verdict::Unknown if result.stats.budget_exhausted => Answer::Timeout,
-                    verdict => verdict_to_answer(verdict),
-                },
-                Err(_) => Answer::Unknown,
+        let answer = match self.session.analyze_source(source) {
+            Ok(result) => match result.program_verdict() {
+                // An inconclusive verdict caused by budget exhaustion is the
+                // deterministic analogue of the paper's T/O outcome.
+                Verdict::Unknown if result.stats.budget_exhausted => Answer::Timeout,
+                verdict => verdict_to_answer(verdict),
             },
+            Err(_) => Answer::Unknown,
         };
         ToolRun {
             answer,
             elapsed: start.elapsed().as_secs_f64(),
         }
+    }
+
+    fn session(&self) -> &AnalysisSession {
+        &self.session
     }
 }
 
@@ -160,23 +156,18 @@ impl Analyzer for HipTntPlus {
 pub struct TermOnly {
     /// Work budget in solver attempts (ranking + non-termination + splits).
     pub budget: usize,
-    session: Option<Arc<AnalysisSession>>,
+    session: Arc<AnalysisSession>,
 }
 
 impl Default for TermOnly {
     fn default() -> Self {
         TermOnly {
             budget: 4,
-            session: None,
+            // Termination machinery at full power, but no abductive case
+            // splitting (conditional termination / non-termination is out of
+            // scope).
+            session: session_for(no_case_split()),
         }
-    }
-}
-
-impl TermOnly {
-    /// Attaches a shared [`AnalysisSession`] (see [`HipTntPlus::with_session`]).
-    pub fn with_session(mut self, session: Arc<AnalysisSession>) -> TermOnly {
-        self.session = Some(session);
-        self
     }
 }
 
@@ -187,39 +178,33 @@ impl Analyzer for TermOnly {
 
     fn run(&self, source: &str) -> ToolRun {
         let start = Instant::now();
-        let options = InferOptions {
-            // Termination machinery at full power, but no abductive case splitting
-            // (conditional termination / non-termination is out of scope).
-            enable_case_split: false,
-            validate: false,
-            ..InferOptions::default()
-        };
-        let answer = match frontend(source) {
-            None => Answer::Unknown,
-            Some(program) => match analyze(&self.session, &program, &options) {
-                Ok(result) => {
-                    let work = result.stats.ranking_attempts
-                        + result.stats.nonterm_attempts
-                        + result.stats.case_splits;
-                    match result.program_verdict() {
-                        Verdict::Terminating => Answer::Yes,
-                        // A termination prover reports failed proofs, not non-termination.
-                        Verdict::NonTerminating | Verdict::Unknown => {
-                            if work > self.budget {
-                                Answer::Timeout
-                            } else {
-                                Answer::Unknown
-                            }
+        let answer = match self.session.analyze_source(source) {
+            Ok(result) => {
+                let work = result.stats.ranking_attempts
+                    + result.stats.nonterm_attempts
+                    + result.stats.case_splits;
+                match result.program_verdict() {
+                    Verdict::Terminating => Answer::Yes,
+                    // A termination prover reports failed proofs, not non-termination.
+                    Verdict::NonTerminating | Verdict::Unknown => {
+                        if work > self.budget {
+                            Answer::Timeout
+                        } else {
+                            Answer::Unknown
                         }
                     }
                 }
-                Err(_) => Answer::Unknown,
-            },
+            }
+            Err(_) => Answer::Unknown,
         };
         ToolRun {
             answer,
             elapsed: start.elapsed().as_secs_f64(),
         }
+    }
+
+    fn session(&self) -> &AnalysisSession {
+        &self.session
     }
 }
 
@@ -230,25 +215,19 @@ impl Analyzer for TermOnly {
 pub struct Alternation {
     /// Work budget in solver attempts.
     pub budget: usize,
-    session: Option<Arc<AnalysisSession>>,
+    session: Arc<AnalysisSession>,
 }
 
 impl Default for Alternation {
     fn default() -> Self {
         Alternation {
             budget: 3,
-            session: None,
+            session: session_for(InferOptions {
+                lexicographic: false,
+                validate: false,
+                ..InferOptions::default()
+            }),
         }
-    }
-}
-
-impl Alternation {
-    /// Attaches a shared [`AnalysisSession`] (see [`HipTntPlus::with_session`]).
-    /// The cache stays sound under the profile's program mutation: keys are
-    /// computed from the *mutated* program this profile actually analyses.
-    pub fn with_session(mut self, session: Arc<AnalysisSession>) -> Alternation {
-        self.session = Some(session);
-        self
     }
 }
 
@@ -259,14 +238,9 @@ impl Analyzer for Alternation {
 
     fn run(&self, source: &str) -> ToolRun {
         let start = Instant::now();
-        let options = InferOptions {
-            lexicographic: false,
-            validate: false,
-            ..InferOptions::default()
-        };
-        let answer = match frontend(source) {
-            None => Answer::Unknown,
-            Some(mut program) => {
+        let answer = match tnt_lang::frontend(source) {
+            Err(_) => Answer::Unknown,
+            Ok(mut program) => {
                 // No separation-logic back-end: heap specifications are dropped, so
                 // heap-dependent scenarios degrade to unknown.
                 let uses_heap = !program.preds.is_empty();
@@ -279,7 +253,9 @@ impl Analyzer for Alternation {
                         }
                     }
                 }
-                match analyze(&self.session, &program, &options) {
+                // The cache key is built from the stripped program this profile
+                // actually analyses.
+                match self.session.analyze_parsed(program) {
                     Ok(result) => {
                         let work = result.stats.ranking_attempts
                             + result.stats.nonterm_attempts
@@ -306,6 +282,10 @@ impl Analyzer for Alternation {
             elapsed: start.elapsed().as_secs_f64(),
         }
     }
+
+    fn session(&self) -> &AnalysisSession {
+        &self.session
+    }
 }
 
 /// "T2 profile": loop-based integer programs only (the `llvm2KITTeL` front-end cannot
@@ -314,23 +294,15 @@ impl Analyzer for Alternation {
 pub struct IntegerLoopOnly {
     /// Work budget in solver attempts.
     pub budget: usize,
-    session: Option<Arc<AnalysisSession>>,
+    session: Arc<AnalysisSession>,
 }
 
 impl Default for IntegerLoopOnly {
     fn default() -> Self {
         IntegerLoopOnly {
             budget: 5,
-            session: None,
+            session: session_for(no_case_split()),
         }
-    }
-}
-
-impl IntegerLoopOnly {
-    /// Attaches a shared [`AnalysisSession`] (see [`HipTntPlus::with_session`]).
-    pub fn with_session(mut self, session: Arc<AnalysisSession>) -> IntegerLoopOnly {
-        self.session = Some(session);
-        self
     }
 }
 
@@ -356,14 +328,9 @@ impl Analyzer for IntegerLoopOnly {
                 if has_heap || has_recursion {
                     Answer::Unknown
                 } else {
-                    let options = InferOptions {
-                        enable_case_split: false,
-                        validate: false,
-                        ..InferOptions::default()
-                    };
-                    match frontend(source).and_then(|p| analyze(&self.session, &p, &options).ok()) {
-                        None => Answer::Unknown,
-                        Some(result) => {
+                    match self.session.analyze_source(source) {
+                        Err(_) => Answer::Unknown,
+                        Ok(result) => {
                             let work =
                                 result.stats.ranking_attempts + result.stats.nonterm_attempts;
                             let verdict = result.program_verdict();
@@ -381,6 +348,10 @@ impl Analyzer for IntegerLoopOnly {
             answer,
             elapsed: start.elapsed().as_secs_f64(),
         }
+    }
+
+    fn session(&self) -> &AnalysisSession {
+        &self.session
     }
 }
 
@@ -432,7 +403,11 @@ void append(node x, node y)
 void main(node x, node y)
   requires cll(x, n) ensures true;
 { append(x, y); }";
-        assert_ne!(tool.run(circular).answer, Answer::No);
+        let answer = tool.run(circular).answer;
+        assert!(
+            matches!(answer, Answer::Unknown | Answer::Timeout),
+            "stripped heap specs must not yield a definite answer, got {answer}"
+        );
         let full = HipTntPlus::default();
         assert_eq!(full.run(circular).answer, Answer::No);
     }
@@ -446,36 +421,27 @@ void main(node x, node y)
         assert_eq!(tool.run(heap).answer, Answer::Unknown);
     }
 
-    /// Sharing one session (one summary cache) across all four capability
-    /// profiles must not change a single answer: the cache key includes the
-    /// canonical form of the program each profile *actually* analyses (after
-    /// Alternation's heap-spec stripping) and the options fingerprint.
+    /// Each profile's own session serves repeat runs from its cache without
+    /// changing a single answer.
     #[test]
-    fn shared_session_does_not_change_any_profile_answer() {
-        let session = Arc::new(AnalysisSession::new(InferOptions::default()));
+    fn session_reuse_does_not_change_any_profile_answer() {
         let programs = [TERMINATING, DIVERGING, CONDITIONAL, RECURSIVE];
-        let plain: Vec<Box<dyn Analyzer>> = vec![
+        let profiles: Vec<Box<dyn Analyzer>> = vec![
             Box::new(HipTntPlus::default()),
             Box::new(TermOnly::default()),
             Box::new(Alternation::default()),
             Box::new(IntegerLoopOnly::default()),
         ];
-        let shared: Vec<Box<dyn Analyzer>> = vec![
-            Box::new(HipTntPlus::default().with_session(Arc::clone(&session))),
-            Box::new(TermOnly::default().with_session(Arc::clone(&session))),
-            Box::new(Alternation::default().with_session(Arc::clone(&session))),
-            Box::new(IntegerLoopOnly::default().with_session(Arc::clone(&session))),
-        ];
-        for (a, b) in plain.iter().zip(&shared) {
-            for source in programs {
-                // Run the shared profile twice: the second pass is served from
-                // the cache and must still agree.
-                assert_eq!(a.run(source).answer, b.run(source).answer, "{}", a.name());
-                assert_eq!(a.run(source).answer, b.run(source).answer, "{}", a.name());
-            }
+        for profile in &profiles {
+            let name = profile.name();
+            let cold: Vec<Answer> = programs.iter().map(|p| profile.run(p).answer).collect();
+            let misses = profile.session().stats().cache_misses;
+            let warm: Vec<Answer> = programs.iter().map(|p| profile.run(p).answer).collect();
+            assert_eq!(cold, warm, "{name}");
+            let stats = profile.session().stats();
+            assert_eq!(stats.cache_misses, misses, "{name}: warm pass recomputed");
+            assert!(stats.memory_hits > 0, "{name}: repeat runs must hit");
         }
-        let stats = session.stats();
-        assert!(stats.cache_hits() > 0, "repeat runs must hit the cache");
     }
 
     #[test]

@@ -35,39 +35,5 @@ fn entailment_query(c: &mut Criterion) {
     });
 }
 
-/// The options-fingerprint cost on a 559-program gate: formatting the
-/// fingerprint once per program (the old per-key behaviour) vs formatting it
-/// once per session and reusing the cached string, as
-/// `AnalysisSession::fingerprint_for` now does for the default profile.
-fn fingerprint_cache(c: &mut Criterion) {
-    use tnt_infer::InferOptions;
-    const GATE_PROGRAMS: usize = 559;
-    let options = InferOptions::default();
-    c.bench_function("session/fingerprint_per_program", |b| {
-        b.iter(|| {
-            let mut bytes = 0usize;
-            for _ in 0..GATE_PROGRAMS {
-                bytes += options.fingerprint().len();
-            }
-            bytes
-        })
-    });
-    c.bench_function("session/fingerprint_cached_per_session", |b| {
-        b.iter(|| {
-            let cached = options.fingerprint();
-            let mut bytes = 0usize;
-            for _ in 0..GATE_PROGRAMS {
-                bytes += cached.len();
-            }
-            bytes
-        })
-    });
-}
-
-criterion_group!(
-    micro,
-    ranking_countdown,
-    entailment_query,
-    fingerprint_cache
-);
+criterion_group!(micro, ranking_countdown, entailment_query);
 criterion_main!(micro);

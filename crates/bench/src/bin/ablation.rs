@@ -6,20 +6,15 @@
 //!
 //! With `--json` the table is emitted as JSON only (the CI smoke test contract).
 
-use std::sync::Arc;
 use tnt_baselines::{Analyzer, HipTntPlus};
 use tnt_bench::Table;
 use tnt_infer::{AnalysisSession, InferOptions};
 
 fn main() {
     let suites = vec![tnt_suite::crafted(), tnt_suite::crafted_lit()];
-    // One session — one summary cache — across every option profile: the cache
-    // key includes the options fingerprint, so profiles never collide, while
-    // each profile reuses summaries across the template-duplicated corpora.
-    let session = Arc::new(AnalysisSession::new(InferOptions::default()));
-    let profile = |options: InferOptions| {
-        HipTntPlus::with_options(options).with_session(Arc::clone(&session))
-    };
+    // One session per option profile: each profile reuses summaries across
+    // the template-duplicated corpora under its own options.
+    let profile = HipTntPlus::with_options;
     let full = profile(InferOptions::default());
     let no_split = profile(InferOptions {
         enable_case_split: false,
@@ -53,6 +48,9 @@ fn main() {
         fn run(&self, source: &str) -> tnt_baselines::ToolRun {
             self.1.run(source)
         }
+        fn session(&self) -> &AnalysisSession {
+            self.1.session()
+        }
     }
     let full = Named("full", &full);
     let no_split = Named("no case-split", &no_split);
@@ -81,12 +79,6 @@ fn main() {
             "{}",
             table.render("Ablation: feature switches of the inference engine")
         );
-        let stats = session.stats();
-        println!(
-            "(session: {} programs, {} analysed, {} served from cache)",
-            stats.programs,
-            stats.cache_misses,
-            stats.cache_hits()
-        );
+        println!("{}", tnt_bench::session_line(&tools));
     }
 }

@@ -1,20 +1,16 @@
 //! Regenerates Figure 10: termination outcomes on the SV-COMP'15-like benchmark
 //! suites for the AProVE/ULTIMATE capability profiles and HIPTNT+.
 
-use std::sync::Arc;
 use tnt_baselines::{Alternation, Analyzer, HipTntPlus, TermOnly};
 use tnt_bench::Table;
-use tnt_infer::{AnalysisSession, InferOptions};
 
 fn main() {
     let suites = tnt_suite::svcomp_suites();
-    // All three capability profiles share one batch session: the summary cache
-    // keys on the canonical program each profile analyses plus its options
-    // fingerprint, so template duplicates are solved once per profile.
-    let session = Arc::new(AnalysisSession::new(InferOptions::default()));
-    let aprove = TermOnly::default().with_session(Arc::clone(&session));
-    let ultimate = Alternation::default().with_session(Arc::clone(&session));
-    let hiptnt = HipTntPlus::default().with_session(Arc::clone(&session));
+    // Each capability profile owns a session built for its own options, so
+    // template duplicates are solved once per profile.
+    let aprove = TermOnly::default();
+    let ultimate = Alternation::default();
+    let hiptnt = HipTntPlus::default();
     let tools: Vec<&dyn Analyzer> = vec![&aprove, &ultimate, &hiptnt];
     let table = Table::build(&tools, &suites);
     // `--json` emits JSON only (the CI smoke test pipes the output through a
@@ -29,12 +25,6 @@ fn main() {
             "{}",
             table.render("Figure 10: Termination outcomes on SV-COMP'15-like benchmarks")
         );
-        let stats = session.stats();
-        println!(
-            "(session: {} programs, {} analysed, {} served from cache)",
-            stats.programs,
-            stats.cache_misses,
-            stats.cache_hits()
-        );
+        println!("{}", tnt_bench::session_line(&tools));
     }
 }

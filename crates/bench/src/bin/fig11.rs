@@ -1,17 +1,14 @@
 //! Regenerates Figure 11: the comparison with the T2 capability profile on
 //! loop-based integer programs.
 
-use std::sync::Arc;
 use tnt_baselines::{Analyzer, HipTntPlus, IntegerLoopOnly};
 use tnt_bench::Table;
-use tnt_infer::{AnalysisSession, InferOptions};
 
 fn main() {
     let suites = vec![tnt_suite::integer_loops()];
-    // Both profiles share one batch session (see fig10.rs).
-    let session = Arc::new(AnalysisSession::new(InferOptions::default()));
-    let t2 = IntegerLoopOnly::default().with_session(Arc::clone(&session));
-    let hiptnt = HipTntPlus::default().with_session(Arc::clone(&session));
+    // Each profile owns its own session (see fig10.rs).
+    let t2 = IntegerLoopOnly::default();
+    let hiptnt = HipTntPlus::default();
     let tools: Vec<&dyn Analyzer> = vec![&t2, &hiptnt];
     let table = Table::build(&tools, &suites);
     // `--json` emits JSON only (the CI smoke test pipes the output through a
@@ -23,12 +20,6 @@ fn main() {
         );
     } else {
         println!("{}", table.render("Figure 11: Loop-based integer programs"));
-        let stats = session.stats();
-        println!(
-            "(session: {} programs, {} analysed, {} served from cache)",
-            stats.programs,
-            stats.cache_misses,
-            stats.cache_hits()
-        );
+        println!("{}", tnt_bench::session_line(&tools));
     }
 }

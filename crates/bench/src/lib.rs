@@ -75,6 +75,19 @@ pub fn run_suite(tool: &dyn Analyzer, suite: &Suite) -> Row {
     row
 }
 
+/// One line summing the reuse counters of every tool's own session — the
+/// footer the table binaries print under the table.
+pub fn session_line(tools: &[&dyn Analyzer]) -> String {
+    let (mut programs, mut analysed, mut served) = (0, 0, 0);
+    for tool in tools {
+        let stats = tool.session().stats();
+        programs += stats.programs;
+        analysed += stats.cache_misses;
+        served += stats.cache_hits();
+    }
+    format!("(sessions: {programs} programs, {analysed} analysed, {served} served from cache)")
+}
+
 /// A complete table: per tool, a row per suite (plus a computed total row).
 #[derive(Clone, Debug, Serialize)]
 pub struct Table {

@@ -10,10 +10,15 @@
 //! single log, `summaries.tnt`:
 //!
 //! ```text
-//! header   "TNTSUM01"                                  (8 bytes)
+//! header   "TNTSUM03"                                  (8 bytes)
 //! record   "TR" ++ len:u32le ++ payload ++ fnv1a64(payload):u64le
 //! payload  key:16B ++ fingerprint_hash:u64le ++ encoded AnalysisResult
+//! method   "MR" ++ len:u32le ++ payload ++ fnv1a64(payload):u64le
+//! payload  method_key:16B ++ fingerprint_hash:u64le ++ encoded MethodRecord
 //! ```
+//!
+//! A file with any other header — including an older layout version — is
+//! rejected as "not a summary store" and left untouched.
 //!
 //! ## Crash safety
 //!
@@ -54,11 +59,6 @@ pub const STORE_FILE: &str = "summaries.tnt";
 /// (02: `SolveStats` gained the orbit-enrichment attempt/work counters.
 /// 03: tagged `MR` method-tier records alongside `TR` program records.)
 pub const HEADER: &[u8; 8] = b"TNTSUM03";
-
-/// The previous layout version, still accepted on open: a 02 log contains
-/// only `TR` records, which 03 decodes unchanged. A writable open rewrites
-/// the header in place to 03 so new `MR` appends are correctly labelled.
-const HEADER_V2: &[u8; 8] = b"TNTSUM02";
 
 /// Per-record frame magic for program-tier records, a cheap framing sanity
 /// check when skipping a checksum-bad record.
@@ -337,16 +337,7 @@ impl SummaryStore {
         } else {
             file.seek(SeekFrom::Start(0))?;
             file.read_exact(&mut header)?;
-            if &header == HEADER_V2 {
-                // A 02 log is a strict subset of 03 (only `TR` records). A
-                // writer upgrades the header in place so its `MR` appends are
-                // correctly labelled; a reader just proceeds.
-                if writable {
-                    file.seek(SeekFrom::Start(0))?;
-                    file.write_all(HEADER)?;
-                    file.flush()?;
-                }
-            } else if &header != HEADER {
+            if &header != HEADER {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
@@ -851,34 +842,28 @@ mod tests {
     }
 
     #[test]
-    fn v2_store_is_upgraded_in_place_by_a_writer() {
+    fn v2_store_is_rejected_and_left_byte_identical() {
         let dir = TempDir::new();
         let store = SummaryStore::open(dir.path()).expect("open");
         assert!(store.store(&key(1), 7, &sample_result(100, false)));
         let path = store.path().to_path_buf();
         drop(store);
 
-        // Regress the header to the previous version: the log itself (only
-        // `TR` records) is identical between 02 and 03.
+        // Regress the header to the retired 02 layout version.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..8].copy_from_slice(HEADER_V2);
+        bytes[..8].copy_from_slice(b"TNTSUM02");
         std::fs::write(&path, &bytes).unwrap();
 
-        // A reader accepts the old header as-is and never rewrites it.
-        let reader = SummaryStore::open_read_only(dir.path()).expect("reader");
-        assert_eq!(reader.load(&key(1), 7).unwrap().stats.work, 100);
-        drop(reader);
-        assert_eq!(&std::fs::read(&path).unwrap()[..8], HEADER_V2);
-
-        // A writer upgrades the header in place and keeps every record.
-        let writer = SummaryStore::open(dir.path()).expect("writer");
-        assert_eq!(writer.load(&key(1), 7).unwrap().stats.work, 100);
-        assert!(writer.store_method(&method_key(9), 7, &sample_method_record()));
-        drop(writer);
-        assert_eq!(&std::fs::read(&path).unwrap()[..8], HEADER);
-
-        let again = SummaryStore::open_read_only(dir.path()).expect("again");
-        assert_eq!((again.entries(), again.method_entries()), (1, 1));
+        // Readers and writers alike refuse it like any unknown magic…
+        for opened in [
+            SummaryStore::open_read_only(dir.path()),
+            SummaryStore::open(dir.path()),
+        ] {
+            let message = opened.err().expect("v2 header rejected").to_string();
+            assert!(message.contains("not a summary store"), "{message}");
+        }
+        // …and neither rewrites a single byte.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
     }
 
     #[test]

@@ -34,8 +34,5 @@ pub use corpora::{
     crafted, crafted_lit, integer_loops, memory_alloca, numeric, svcomp_suites, Category, Expected,
     Suite,
 };
-pub use runner::{
-    run_program, run_program_with, run_suite, run_suite_session, run_suite_session_with,
-    run_suite_with, run_suite_with_analysis, Outcome, ProgramReport, SuiteReport,
-};
+pub use runner::{run_suite_session, run_suite_session_with, Outcome, ProgramReport, SuiteReport};
 pub use templates::BenchProgram;

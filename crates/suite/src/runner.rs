@@ -20,8 +20,7 @@
 use crate::corpora::Suite;
 use crate::templates::Expected;
 use std::fmt;
-use tnt_infer::session::panic_note;
-use tnt_infer::{analyze_source, AnalysisSession, BatchEntry, InferOptions, Verdict};
+use tnt_infer::{AnalysisSession, BatchEntry, Verdict};
 
 /// The scored outcome of analysing one benchmark program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,8 +62,9 @@ pub struct ProgramReport {
     pub elapsed: f64,
     /// Deterministic work units spent (simplex pivots + DNF cubes).
     pub work: u64,
-    /// Error note when the analysis failed abnormally (e.g. a caught panic);
-    /// such programs score as [`Outcome::Unknown`] rather than aborting the run.
+    /// Error note when the analysis panicked (isolated per program by the
+    /// session); such programs score as [`Outcome::Unknown`] rather than
+    /// aborting the run.
     pub note: Option<String>,
 }
 
@@ -160,84 +160,16 @@ impl SuiteReport {
     }
 }
 
-/// Analyses one program source and scores it against its ground truth.
-///
-/// A panic inside the analysis is caught and recorded as an [`Outcome::Unknown`]
-/// report with an error [`ProgramReport::note`], so one crashing program cannot
-/// abort a whole suite run.
-pub fn run_program(
-    name: &str,
-    source: &str,
-    expected: Expected,
-    options: &InferOptions,
-) -> ProgramReport {
-    run_program_with(name, expected, || match analyze_source(source, options) {
-        Err(_) => (Outcome::Unknown, 0),
-        Ok(result) => {
-            let outcome = match result.program_verdict() {
-                Verdict::Terminating => Outcome::Yes,
-                Verdict::NonTerminating => Outcome::No,
-                Verdict::Unknown if result.stats.budget_exhausted => Outcome::Timeout,
-                Verdict::Unknown => Outcome::Unknown,
-            };
-            (outcome, result.stats.work)
-        }
-    })
-}
-
-/// Scores one program with a caller-supplied analysis hook, isolating panics.
-///
-/// A caught panic still accounts for the deterministic work units the analysis
-/// spent before aborting (snapshotting the per-thread counter around the hook),
-/// so suite totals never silently drop the cost of a crashed program.
-pub fn run_program_with(
-    name: &str,
-    expected: Expected,
-    analysis: impl FnOnce() -> (Outcome, u64),
-) -> ProgramReport {
-    let start = std::time::Instant::now();
-    let work_before = tnt_infer::solve::work_units();
-    let (outcome, work, note) =
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(analysis)) {
-            Ok((outcome, work)) => (outcome, work, None),
-            Err(payload) => (
-                Outcome::Unknown,
-                tnt_infer::solve::work_units().wrapping_sub(work_before),
-                Some(panic_note(payload.as_ref())),
-            ),
-        };
-    ProgramReport {
-        name: name.to_string(),
-        expected,
-        outcome,
-        elapsed: start.elapsed().as_secs_f64(),
-        work,
-        note,
-    }
-}
-
-/// Runs a whole suite through the analyzer, in parallel across programs, with a
-/// fresh per-call [`AnalysisSession`] (summary cache enabled): programs that
-/// normalise to the same canonical form are analysed once and served from the
-/// cache thereafter.
+/// Runs a whole suite through a caller-supplied [`AnalysisSession`] batch, in
+/// parallel across programs, so several suites (or repeated runs) share one
+/// cross-program summary cache.
 ///
 /// The report lists programs in corpus order regardless of scheduling, and the
 /// analysis itself is deterministic per program, so two runs of the same suite —
 /// with any worker count, cache on or off — produce identical reports (up to the
 /// wall-clock `elapsed` fields).
-pub fn run_suite(suite: &Suite, options: &InferOptions) -> SuiteReport {
-    run_suite_session(&AnalysisSession::new(*options), suite)
-}
-
-/// [`run_suite`] with an explicit worker count (`1` forces a sequential run).
-pub fn run_suite_with(suite: &Suite, options: &InferOptions, workers: usize) -> SuiteReport {
-    run_suite_session_with(&AnalysisSession::new(*options), suite, workers)
-}
-
-/// Runs a suite through a caller-supplied [`AnalysisSession`], so several suites
-/// (or repeated runs) share one cross-program summary cache.
 pub fn run_suite_session(session: &AnalysisSession, suite: &Suite) -> SuiteReport {
-    run_suite_session_with(session, suite, default_workers())
+    run_suite_session_with(session, suite, tnt_infer::session::default_workers())
 }
 
 /// [`run_suite_session`] with an explicit worker count.
@@ -280,78 +212,10 @@ fn score_entry(name: &str, expected: Expected, entry: BatchEntry) -> ProgramRepo
     }
 }
 
-/// [`run_suite_with`] with a caller-supplied per-program analysis hook (used by
-/// tests to inject failures, and by custom analyzers).
-///
-/// A panicking hook is isolated per program: the program scores as
-/// [`Outcome::Unknown`] with an error note, every other program still runs, and
-/// the report stays in corpus order — one crash never aborts or reorders a run.
-pub fn run_suite_with_analysis<F>(suite: &Suite, workers: usize, analysis: F) -> SuiteReport
-where
-    F: Fn(&crate::templates::BenchProgram) -> ProgramReport + Sync,
-{
-    let workers = workers.max(1);
-    let mut programs: Vec<Option<ProgramReport>> = vec![None; suite.programs.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots = std::sync::Mutex::new(&mut programs);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(program) = suite.programs.get(index) else {
-                    return;
-                };
-                // Isolate the hook: a panic becomes an Unknown report with a note.
-                // The work units and wall-clock spent before the abort are still
-                // attributed to the program (the hook runs wholly on this worker
-                // thread, so the per-thread counter snapshot brackets it exactly)
-                // instead of being silently dropped from the suite totals.
-                let start = std::time::Instant::now();
-                let work_before = tnt_infer::solve::work_units();
-                let report = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    analysis(program)
-                })) {
-                    Ok(report) => report,
-                    Err(payload) => ProgramReport {
-                        name: program.name.clone(),
-                        expected: program.expected,
-                        outcome: Outcome::Unknown,
-                        elapsed: start.elapsed().as_secs_f64(),
-                        work: tnt_infer::solve::work_units().wrapping_sub(work_before),
-                        note: Some(panic_note(payload.as_ref())),
-                    },
-                };
-                // A worker that panicked between lock() and the slot write would
-                // poison the mutex; recover the inner data instead of aborting
-                // the whole suite on a single program's crash.
-                let mut guard = match slots.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                guard[index] = Some(report);
-            });
-        }
-    });
-    SuiteReport {
-        suite: suite.category.name().to_string(),
-        programs: programs
-            .into_iter()
-            .map(|p| p.expect("every index was processed"))
-            .collect(),
-    }
-}
-
 /// Renders every method summary inferred for every program of a suite, keyed by
-/// `program/method`, through a fresh cache-enabled session. Used by the
-/// determinism regression test: two runs with the same corpus seed must produce
-/// byte-identical renderings.
-pub fn rendered_summaries(suite: &Suite, options: &InferOptions) -> Vec<(String, String)> {
-    rendered_summaries_session(&AnalysisSession::new(*options), suite)
-}
-
-/// [`rendered_summaries`] through a caller-supplied session — the
-/// cache-equivalence gate renders the same suite through a caching and a
-/// non-caching session and asserts byte identity.
+/// `program/method`, through a caller-supplied session. Used by the determinism
+/// regression tests: two cold runs with the same corpus seed — and a caching
+/// and a non-caching session — must produce byte-identical renderings.
 pub fn rendered_summaries_session(
     session: &AnalysisSession,
     suite: &Suite,
@@ -369,14 +233,16 @@ pub fn rendered_summaries_session(
     out
 }
 
-fn default_workers() -> usize {
-    tnt_infer::session::default_workers()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpora::Category;
+    use tnt_infer::InferOptions;
+
+    fn run_fresh(suite: &Suite, workers: usize) -> SuiteReport {
+        let session = AnalysisSession::new(InferOptions::default());
+        run_suite_session_with(&session, suite, workers)
+    }
 
     fn tiny_suite() -> Suite {
         Suite {
@@ -391,7 +257,7 @@ mod tests {
 
     #[test]
     fn runner_scores_against_ground_truth() {
-        let report = run_suite_with(&tiny_suite(), &InferOptions::default(), 2);
+        let report = run_fresh(&tiny_suite(), 2);
         assert_eq!(report.total(), 3);
         assert!(report.unsound().is_empty());
         let by_name: std::collections::BTreeMap<&str, Outcome> = report
@@ -407,106 +273,12 @@ mod tests {
     #[test]
     fn parallel_and_sequential_reports_agree() {
         let suite = tiny_suite();
-        let options = InferOptions::default();
-        let sequential = run_suite_with(&suite, &options, 1);
-        let parallel = run_suite_with(&suite, &options, 4);
+        let sequential = run_fresh(&suite, 1);
+        let parallel = run_fresh(&suite, 4);
         for (a, b) in sequential.programs.iter().zip(&parallel.programs) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.work, b.work);
-        }
-    }
-
-    #[test]
-    fn panicking_analysis_hook_is_isolated_per_program() {
-        let suite = tiny_suite();
-        let options = InferOptions::default();
-        let run = || {
-            run_suite_with_analysis(&suite, 2, |program| {
-                if program.name == "n_up" {
-                    panic!("deliberate failure on {}", program.name);
-                }
-                run_program(&program.name, &program.source, program.expected, &options)
-            })
-        };
-        // Silence the default panic-hook backtrace spam for the deliberate panics.
-        let previous_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = run();
-        let again = run();
-        std::panic::set_hook(previous_hook);
-
-        // The whole suite still ran, in corpus order.
-        assert_eq!(report.total(), 3);
-        let names: Vec<&str> = report.programs.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, ["t_down", "n_up", "u_nondet"]);
-        // The crashed program scores Unknown with an error note; nothing unsound.
-        let crashed = &report.programs[1];
-        assert_eq!(crashed.outcome, Outcome::Unknown);
-        let note = crashed.note.as_deref().expect("panic recorded as note");
-        assert!(note.contains("deliberate failure on n_up"), "note: {note}");
-        assert!(report.unsound().is_empty());
-        // The other programs are unaffected.
-        assert_eq!(report.programs[0].outcome, Outcome::Yes);
-        assert!(report.programs[0].note.is_none());
-        // And the run stays deterministic.
-        for (a, b) in report.programs.iter().zip(&again.programs) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.note, b.note);
-        }
-    }
-
-    #[test]
-    fn run_program_with_catches_panics() {
-        let report = run_program_with("boom", Expected::Terminating, || {
-            panic!("kaboom {}", 42);
-        });
-        assert_eq!(report.outcome, Outcome::Unknown);
-        assert!(report.note.unwrap().contains("kaboom 42"));
-    }
-
-    /// A panic must not zero out the work units the analysis had already spent —
-    /// the pre-abort cost is attributed to the crashing program.
-    #[test]
-    fn caught_panic_still_attributes_spent_work() {
-        let options = InferOptions::default();
-        let program = crate::templates::countdown("t_down", 1);
-        // Reference: how much deterministic work the program costs on its own.
-        let clean = run_program(&program.name, &program.source, program.expected, &options);
-        assert!(clean.work > 0, "countdown must cost some solver work");
-
-        let previous_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        // Hook spends real solver work, then aborts.
-        let report = run_program_with("boom", Expected::Terminating, || {
-            let _ = tnt_infer::analyze_source(&program.source, &options);
-            panic!("after real work");
-        });
-        // Same leak in the suite-level panic isolation path.
-        let suite = tiny_suite();
-        let suite_report = run_suite_with_analysis(&suite, 1, |p| {
-            let _ = tnt_infer::analyze_source(&p.source, &options);
-            panic!("always fails on {}", p.name);
-        });
-        std::panic::set_hook(previous_hook);
-
-        assert_eq!(report.outcome, Outcome::Unknown);
-        assert!(
-            report.work >= clean.work,
-            "work before the abort must be attributed: got {} < {}",
-            report.work,
-            clean.work
-        );
-        for p in &suite_report.programs {
-            assert_eq!(p.outcome, Outcome::Unknown);
-            assert!(p.note.is_some());
-            assert!(
-                p.work > 0,
-                "{}: pre-abort work must reach the suite totals",
-                p.name
-            );
-            assert!(p.elapsed > 0.0, "{}: elapsed must be measured", p.name);
         }
     }
 

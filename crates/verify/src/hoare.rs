@@ -254,8 +254,7 @@ impl Exec<'_> {
                     }
                 };
                 let root = state.value_of(base);
-                let results = self.materialize_points_to(state, &root, 3);
-                results
+                self.access_cell(state, &root)
                     .into_iter()
                     .map(|(mut s, index)| {
                         if let HeapAtom::PointsTo { data, fields, .. } = &mut s.heap.atoms[index] {
@@ -375,28 +374,48 @@ impl Exec<'_> {
         }
     }
 
+    /// The heap cell a field access at `root` reads or writes, unfolding predicates
+    /// as needed (see [`Self::materialize_points_to`]). A *feasible* state in which
+    /// no cell can be materialised is a possible null or dangling dereference that
+    /// nothing in this pipeline proves absent, so it fails verification: dropping
+    /// it would prove every claim about the executions through it vacuously.
+    fn access_cell(&mut self, state: SymState, root: &Lin) -> Vec<(SymState, usize)> {
+        match self.materialize_points_to(state, root, 3) {
+            Ok(cells) => cells,
+            Err(state) => {
+                if state.is_feasible() {
+                    self.fail(format!(
+                        "field access at {root}: no heap cell can be materialised \
+                         (possible null or dangling dereference)"
+                    ));
+                }
+                vec![]
+            }
+        }
+    }
+
     /// Finds (unfolding as needed) a points-to atom at the given root; returns the
-    /// resulting states together with the atom index. States in which no cell can be
-    /// materialised are dropped (memory safety is assumed to have been established by
-    /// the orthogonal safety verification, as in the paper).
+    /// resulting states together with the atom index, or gives the state back when
+    /// no cell can be materialised from it. Unfolded branches without a cell are
+    /// dropped.
     fn materialize_points_to(
         &mut self,
         state: SymState,
         root: &Lin,
         budget: usize,
-    ) -> Vec<(SymState, usize)> {
+    ) -> Result<Vec<(SymState, usize)>, Box<SymState>> {
         // Direct hit?
         for (index, atom) in state.heap.atoms.iter().enumerate() {
             if let HeapAtom::PointsTo { root: r, .. } = atom {
                 if r == root
                     || entail::entails(&state.pure, &Constraint::eq(r.clone(), root.clone()).into())
                 {
-                    return vec![(state, index)];
+                    return Ok(vec![(state, index)]);
                 }
             }
         }
         if budget == 0 {
-            return vec![];
+            return Err(Box::new(state));
         }
         // Unfold a predicate instance rooted at `root`.
         for (index, atom) in state.heap.atoms.iter().enumerate() {
@@ -423,17 +442,24 @@ impl Exec<'_> {
                 }
                 s.assume(pure_extra);
                 if s.is_feasible() {
-                    out.extend(self.materialize_points_to(s, root, budget - 1));
+                    out.extend(
+                        self.materialize_points_to(s, root, budget - 1)
+                            .unwrap_or_default(),
+                    );
                 }
             }
-            return out;
+            return if out.is_empty() {
+                Err(Box::new(state))
+            } else {
+                Ok(out)
+            };
         }
-        vec![]
+        Err(Box::new(state))
     }
 
     /// Reads a field at the given root (unfolding as needed).
     fn read_field(&mut self, state: SymState, root: &Lin, field: &str) -> Vec<(SymState, Lin)> {
-        self.materialize_points_to(state, root, 3)
+        self.access_cell(state, root)
             .into_iter()
             .filter_map(|(s, index)| {
                 let HeapAtom::PointsTo { data, fields, .. } = &s.heap.atoms[index] else {

@@ -109,19 +109,21 @@ fn integer_loops_suite_conforms() {
 #[test]
 fn gcd_and_phase_change_templates_answer_term() {
     use hiptnt::suite::templates::{gcd_like, phase_change_hard};
-    let options = InferOptions::default();
-    for program in [
-        gcd_like("gcd"),
-        phase_change_hard("phase1", 1),
-        phase_change_hard("phase3", 3),
-    ] {
-        let report =
-            runner::run_program(&program.name, &program.source, program.expected, &options);
+    let suite = Suite {
+        category: hiptnt::suite::Category::Crafted,
+        programs: vec![
+            gcd_like("gcd"),
+            phase_change_hard("phase1", 1),
+            phase_change_hard("phase3", 3),
+        ],
+    };
+    let session = AnalysisSession::new(InferOptions::default());
+    for report in runner::run_suite_session(&session, &suite).programs {
         assert_eq!(
             report.outcome,
             hiptnt::suite::Outcome::Yes,
             "{} must be proven terminating, got {}",
-            program.name,
+            report.name,
             report.outcome
         );
     }
@@ -129,14 +131,17 @@ fn gcd_and_phase_change_templates_answer_term() {
 
 /// Regenerating the `crafted` corpus (fixed `SmallRng` seed) and re-analysing
 /// it must produce byte-identical rendered summaries. Future parallelism or
-/// caching PRs that break run-to-run determinism trip this test. Each call to
-/// `rendered_summaries` builds its own fresh session, so this exercises two
-/// *independent* runs (cold caches), not one cache serving itself.
+/// caching PRs that break run-to-run determinism trip this test. Each run gets
+/// its own fresh session, so this exercises two *independent* runs (cold
+/// caches), not one cache serving itself.
 #[test]
 fn crafted_suite_is_deterministic_end_to_end() {
-    let options = InferOptions::default();
-    let first = runner::rendered_summaries(&crafted(), &options);
-    let second = runner::rendered_summaries(&crafted(), &options);
+    let run = || {
+        let session = AnalysisSession::new(InferOptions::default());
+        runner::rendered_summaries_session(&session, &crafted())
+    };
+    let first = run();
+    let second = run();
     assert_eq!(first.len(), second.len());
     for ((name_a, summary_a), (name_b, summary_b)) in first.iter().zip(&second) {
         assert_eq!(name_a, name_b, "summary order must be stable");

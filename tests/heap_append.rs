@@ -33,3 +33,17 @@ fn circular_list_scenario_is_definitely_non_terminating() {
     assert_eq!(circular.verdict(), Verdict::NonTerminating);
     assert!(circular.cases.iter().all(|c| !c.post_reachable()));
 }
+
+/// Without a heap specification nothing establishes that `x` points to a cell,
+/// so the field accesses cannot be verified. The analysis must refuse the
+/// program instead of dropping the unverifiable states and proving `Term`
+/// vacuously: on a circular list this `append` diverges.
+#[test]
+fn spec_less_circular_append_is_an_error_never_term() {
+    const SPEC_LESS: &str = "data node { node next; } \
+         void append(node x, node y) \
+         { if (x.next == null) { x.next = y; } else { append(x.next, y); } }";
+    let outcome = analyze_source(SPEC_LESS, &InferOptions::default());
+    let error = outcome.expect_err("an unverifiable field access must fail the analysis");
+    assert!(error.message.contains("field access"), "{error}");
+}

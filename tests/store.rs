@@ -13,7 +13,7 @@ use std::sync::Arc;
 use hiptnt::infer::CacheTier;
 use hiptnt::store::SummaryStore;
 use hiptnt::suite::crafted;
-use hiptnt::{AnalysisSession, BatchEntry, InferOptions, Verdict};
+use hiptnt::{analyze_source, AnalysisResult, AnalysisSession, BatchEntry, InferOptions, Verdict};
 
 /// A unique scratch directory per test, removed on drop.
 struct TempDir(PathBuf);
@@ -47,21 +47,24 @@ impl Drop for TempDir {
 fn fingerprint(entry: &BatchEntry) -> String {
     match &entry.result {
         Err(err) => format!("error: {err} (work {})", entry.work),
-        Ok(result) => {
-            let summaries: Vec<String> = result
-                .summaries
-                .iter()
-                .map(|(label, s)| format!("{label}:{}", s.render()))
-                .collect();
-            format!(
-                "verdict {} poisoned {} work {}\n{}",
-                result.program_verdict(),
-                result.poisoned,
-                entry.work,
-                summaries.join("\n")
-            )
-        }
+        Ok(result) => rendered(result),
     }
+}
+
+/// [`fingerprint`] of one analysis result.
+fn rendered(result: &AnalysisResult) -> String {
+    let summaries: Vec<String> = result
+        .summaries
+        .iter()
+        .map(|(label, s)| format!("{label}:{}", s.render()))
+        .collect();
+    format!(
+        "verdict {} poisoned {} work {}\n{}",
+        result.program_verdict(),
+        result.poisoned,
+        result.stats.work,
+        summaries.join("\n")
+    )
 }
 
 fn crafted_sources() -> Vec<String> {
@@ -248,16 +251,17 @@ fn concurrent_reader_sees_a_live_writers_appends() {
             }
         });
 
-        // Poll the growing log from this thread while the writer appends.
+        // Poll the growing log from this thread while the writer appends
+        // (program records interleaved with method-tier records).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        let mut seen = 0usize;
-        while seen < sources.len() {
+        while reader.entries() < sources.len() {
             assert!(
                 std::time::Instant::now() < deadline,
-                "reader saw only {seen}/{} records before timing out",
+                "reader saw only {}/{} records before timing out",
+                reader.entries(),
                 sources.len()
             );
-            seen += reader.refresh().expect("refresh");
+            reader.refresh().expect("refresh");
             std::thread::yield_now();
         }
         handle.join().expect("writer thread");
@@ -280,4 +284,57 @@ fn concurrent_reader_sees_a_live_writers_appends() {
     }
     assert_eq!(checker.stats().cache_misses, 0);
     let _ = writer_store.diagnostics();
+}
+
+/// A session holds exactly one options profile, so profile isolation lives at
+/// the store: two sessions with different `InferOptions` over one store
+/// directory never serve each other's records, at the program or the method
+/// tier, and each profile's summaries stay byte-identical to a cold
+/// `analyze_source` under that profile.
+#[test]
+fn option_profiles_sharing_a_store_never_serve_each_other() {
+    let dir = TempDir::new();
+    let sources = [
+        "void main(int x) { while (x > 0) { x = x - 1; } }",
+        "void main(int x) { while (x >= 0) { x = x + 1; } }",
+        "void foo(int x, int y) { if (x < 0) { return; } else { foo(x + y, y); } }\n\
+         void main(int x, int y) { foo(x, y); }",
+    ];
+    let defaults = InferOptions::default();
+    let no_split = InferOptions {
+        enable_case_split: false,
+        validate: false,
+        ..InferOptions::default()
+    };
+    assert_ne!(defaults.fingerprint(), no_split.fingerprint());
+    let run = |options: InferOptions| {
+        let session = AnalysisSession::new(options).with_store(Arc::new(
+            SummaryStore::open(dir.path()).expect("open store"),
+        ));
+        let entries = session.analyze_batch_with(&sources, 1);
+        (entries, session.stats())
+    };
+
+    let (first, first_stats) = run(defaults);
+    assert_eq!(first_stats.store_writes, sources.len() as u64);
+    let (second, second_stats) = run(no_split);
+    assert_eq!(
+        (second_stats.store_hits, second_stats.method_hits),
+        (0, 0),
+        "a different profile must not be served the first profile's records"
+    );
+    assert!(second.iter().all(|entry| entry.tier.is_none()));
+    // The store does serve each profile its own records.
+    let (again, again_stats) = run(defaults);
+    assert_eq!(again_stats.store_hits, sources.len() as u64);
+
+    for (options, entries) in [(defaults, &first), (no_split, &second), (defaults, &again)] {
+        for (source, entry) in sources.iter().zip(entries) {
+            let cold = analyze_source(source, &options).expect("cold analysis");
+            assert_eq!(fingerprint(entry), rendered(&cold), "{source}");
+        }
+    }
+    // The profiles really differ on the conditional program, so a cross-profile
+    // hit could not have gone unnoticed.
+    assert_ne!(fingerprint(&first[2]), fingerprint(&second[2]));
 }

@@ -1,6 +1,7 @@
 //! `prove_Term` (Fig. 8), `prove_NonTerm` (Fig. 9), the abductive inference `abd_inf`
 //! and the `split` partitioning of Sec. 5.6.
 
+use crate::solve::SolveOptions;
 use crate::specialize::{EdgeTarget, Obligation, ObligationItem, ReachGraph};
 use crate::theta::Theta;
 use std::collections::{BTreeMap, BTreeSet};
@@ -10,47 +11,6 @@ use tnt_solver::multiphase::synthesize_multiphase;
 use tnt_solver::ranking::{NodeId, RankingProblem, Transition};
 use tnt_solver::recurrent::{RecurrentProblem, RecurrentSet, RecurrentTransition};
 use tnt_solver::{farkas, Ineq, MeasureItem, Rational};
-
-/// Configuration switches of the prover (exposed for the ablation benchmarks).
-#[derive(Clone, Copy, Debug)]
-pub struct ProveOptions {
-    /// Allow lexicographic (multi-component) ranking measures.
-    pub lexicographic: bool,
-    /// Maximum number of lexicographic components.
-    pub max_lex_components: usize,
-    /// Allow abductive case-splitting when a non-termination proof fails.
-    pub enable_case_split: bool,
-    /// Allow the multiphase/max ranking domain: `max(f, g)` component slots inside
-    /// lexicographic tuples, nested multiphase tuples as the last synthesis
-    /// fall-back, and the entry-restricted conditional termination proof.
-    pub multiphase: bool,
-    /// Maximum depth of a nested multiphase tuple.
-    pub max_phases: usize,
-    /// Allow closed recurrent-set synthesis ([`tnt_solver::recurrent`]) as the
-    /// non-termination fall-back when the obligation-coverage proof of
-    /// `prove_NonTerm` fails, and as the validation fall-back for `Loop` cases.
-    pub recurrent: bool,
-    /// Allow orbit-enriched recurrent-set synthesis
-    /// ([`prove_nonterm_recurrent_enriched`]): candidate atoms harvested from
-    /// concrete orbit simulation ([`tnt_solver::orbit`]) augment the guard/cube
-    /// pool. Staged strictly after the abductive splitter's candidates are
-    /// exhausted; requires [`ProveOptions::recurrent`].
-    pub orbit_enrichment: bool,
-}
-
-impl Default for ProveOptions {
-    fn default() -> Self {
-        ProveOptions {
-            lexicographic: true,
-            max_lex_components: 4,
-            enable_case_split: true,
-            multiphase: true,
-            max_phases: 3,
-            recurrent: true,
-            orbit_enrichment: true,
-        }
-    }
-}
 
 /// Converts a context formula into guard cubes usable by the ranking back-end: each
 /// cube is a conjunction of `≥ 0` inequalities (dis-equalities are dropped, which only
@@ -114,7 +74,7 @@ fn ranking_problem(
 /// linear → lexicographic (with `max(f, g)` slots) → nested multiphase.
 fn synthesize_measure(
     problem: &RankingProblem,
-    options: &ProveOptions,
+    options: &SolveOptions,
 ) -> Option<BTreeMap<NodeId, Vec<MeasureItem>>> {
     if options.lexicographic {
         // The mixed synthesis starts with the single-component (linear) fast path.
@@ -151,7 +111,7 @@ pub fn prove_term(
     scc: &[String],
     graph: &ReachGraph,
     theta: &Theta,
-    options: &ProveOptions,
+    options: &SolveOptions,
 ) -> Option<BTreeMap<String, Vec<MeasureItem>>> {
     let (problem, node_of) = ranking_problem(scc, graph, theta, &BTreeMap::new())?;
     let measure = synthesize_measure(&problem, options)?;
@@ -204,7 +164,7 @@ pub fn prove_term_conditional(
     scc: &[String],
     graph: &ReachGraph,
     theta: &Theta,
-    options: &ProveOptions,
+    options: &SolveOptions,
 ) -> Option<BTreeMap<String, ConditionalCase>> {
     if !options.multiphase {
         return None;
@@ -454,7 +414,7 @@ pub fn prove_nonterm(
     scc: &[String],
     obligations: &[Obligation],
     theta: &Theta,
-    options: &ProveOptions,
+    options: &SolveOptions,
 ) -> NonTermOutcome {
     prove_nonterm_assuming(scc, obligations, theta, options, &BTreeSet::new())
 }
@@ -511,7 +471,7 @@ pub fn prove_nonterm_assuming(
     scc: &[String],
     obligations: &[Obligation],
     theta: &Theta,
-    options: &ProveOptions,
+    options: &SolveOptions,
     assumed_false: &BTreeSet<String>,
 ) -> NonTermOutcome {
     let mut outcome = NonTermOutcome::default();
@@ -619,7 +579,7 @@ pub fn prove_nonterm_recurrent(
     graph: &ReachGraph,
     obligations: &[Obligation],
     theta: &Theta,
-    options: &ProveOptions,
+    options: &SolveOptions,
     assumed_false: &BTreeSet<String>,
 ) -> Option<RecurrentOutcome> {
     if !options.recurrent || scc.len() != 1 {
@@ -648,7 +608,7 @@ pub fn prove_nonterm_recurrent_enriched(
     graph: &ReachGraph,
     obligations: &[Obligation],
     theta: &Theta,
-    options: &ProveOptions,
+    options: &SolveOptions,
     assumed_false: &BTreeSet<String>,
 ) -> Option<RecurrentOutcome> {
     if !options.recurrent || !options.orbit_enrichment || scc.len() != 1 {
@@ -885,7 +845,7 @@ mod tests {
             &["Upr_f#0".to_string()],
             &[],
             &theta,
-            &ProveOptions::default(),
+            &SolveOptions::default(),
         );
         assert!(!outcome.success);
         assert_eq!(outcome.diagnostics.len(), 1);
@@ -901,7 +861,7 @@ mod tests {
             &["Upr_g#0".to_string()],
             &[],
             &healthy,
-            &ProveOptions::default(),
+            &SolveOptions::default(),
         );
         assert!(outcome.diagnostics.is_empty());
     }

@@ -31,7 +31,9 @@
 //!   [`AnalysisResult::poisoned`] bit: a summary degraded by saturated rational
 //!   arithmetic stays degraded when served on a *different* thread, where the
 //!   per-thread [`tnt_solver::rational::overflow_work`] counter that originally
-//!   detected the overflow never moved.
+//!   detected the overflow never moved. The per-method record tier (see
+//!   [`crate::method_cache`]) is the same guarded cache keyed by
+//!   [`MethodKey`], so both tiers share one verification code path.
 //! * **Batched analysis** — [`AnalysisSession::analyze_batch`] parses every source
 //!   once, de-duplicates programs by key, and schedules the unique analyses (each
 //!   one a deterministic chain of per-SCC proofs) across a worker pool. Panics are
@@ -59,7 +61,7 @@
 //! let source = "void main(int x) { while (x > 0) { x = x - 1; } }";
 //! let batch = session.analyze_batch(&[source, source]);
 //! assert_eq!(batch.len(), 2);
-//! assert!(batch[1].cache_hit, "identical program served from the cache");
+//! assert!(batch[1].tier.is_some(), "identical program served from the cache");
 //! let stats = session.stats();
 //! assert_eq!((stats.cache_misses, stats.cache_hits()), (1, 1));
 //! ```
@@ -68,9 +70,10 @@ use crate::analyzer::{analyze_program_scoped, AnalysisResult, InferError, InferO
 use crate::method_cache::{
     scc_keys, HarvestedRecords, MethodKey, MethodRecord, MethodScope, ReplayPlan,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tnt_lang::ast::Program;
 
 impl InferOptions {
@@ -224,26 +227,17 @@ pub trait SummaryBackend: Send + Sync {
     /// are deterministic, so rewriting would only duplicate the record).
     fn store(&self, key: &ProgramKey, fingerprint_hash: u64, result: &AnalysisResult) -> bool;
 
-    /// Loads the method-tier record stored under `key`, if any. The default
-    /// implementation serves nothing — a backend without method-tier support
-    /// simply never produces method hits.
-    fn load_method(&self, key: &MethodKey, fingerprint_hash: u64) -> Option<MethodRecord> {
-        let _ = (key, fingerprint_hash);
-        None
-    }
+    /// Loads the method-tier record stored under `key`, if any, under the
+    /// same fingerprint-hash rule as [`SummaryBackend::load`].
+    fn load_method(&self, key: &MethodKey, fingerprint_hash: u64) -> Option<MethodRecord>;
 
     /// Persists a method-tier record under `key`. Returns `true` when a record
-    /// was actually written. The default implementation drops the record.
-    fn store_method(&self, key: &MethodKey, fingerprint_hash: u64, record: &MethodRecord) -> bool {
-        let _ = (key, fingerprint_hash, record);
-        false
-    }
+    /// was actually written.
+    fn store_method(&self, key: &MethodKey, fingerprint_hash: u64, record: &MethodRecord) -> bool;
 
     /// Drains any diagnostics the backend accumulated (e.g. corrupt records it
-    /// self-healed around). The default implementation has none.
-    fn take_diagnostics(&self) -> Vec<String> {
-        Vec::new()
-    }
+    /// self-healed around).
+    fn take_diagnostics(&self) -> Vec<String>;
 }
 
 /// Joins a canonical program text and an options fingerprint into the byte
@@ -258,27 +252,102 @@ fn keyed_text(canonical: &str, fingerprint: &str) -> String {
     text
 }
 
-/// One summary-cache entry: the result plus the collision-verification state.
-struct CacheSlot {
-    result: AnalysisResult,
+/// A value a [`GuardedCache`] can hold. The hook decides whether inserting
+/// `other` under a key already holding `self` proves a collision, on top of
+/// the guard comparison every slot performs.
+trait Cached: Clone {
+    fn conflicts_with(&self, other: &Self) -> bool;
+}
+
+impl Cached for AnalysisResult {
+    /// Guard-only: two computations of one program differ in `elapsed`, so
+    /// the values themselves cannot be compared.
+    fn conflicts_with(&self, _: &AnalysisResult) -> bool {
+        false
+    }
+}
+
+impl Cached for MethodRecord {
+    /// The analysis is deterministic, so equal keyed texts always harvest
+    /// equal records: a differing record proves a collision even after the
+    /// slot's guard was verified and dropped.
+    fn conflicts_with(&self, other: &MethodRecord) -> bool {
+        self != other
+    }
+}
+
+/// One cache entry: the value plus the collision-verification state.
+struct Slot<V> {
+    value: V,
     /// The full keyed text, retained from insert until the first cache hit
     /// verifies it byte-for-byte (then dropped to reclaim the memory).
     guard: Option<Box<str>>,
-    /// Set when a guard comparison failed — a proven 128-bit collision. A
-    /// conflicted slot never serves hits and never accepts new results, so
-    /// both colliding programs are simply re-analysed on every submission.
+    /// Set when a collision was proven. A conflicted slot never serves hits
+    /// and never accepts new values, so the colliding inputs are simply
+    /// re-analysed on every submission.
     conflicted: bool,
 }
 
-/// One method-tier entry: the replay record plus the same one-shot full-text
-/// verification guard the program tier uses (see [`CacheSlot`]). After the
-/// guard is verified and dropped, later inserts are cross-checked by record
-/// equality instead — the analysis is deterministic, so a differing record
-/// under one key proves a collision and permanently poisons the slot.
-struct MethodSlot {
-    record: MethodRecord,
-    guard: Option<Box<str>>,
-    conflicted: bool,
+/// An in-memory cache tier whose entries are guarded by the one-shot
+/// full-text verification described in the [module documentation](self).
+/// Both the program tier and the method tier are one of these.
+struct GuardedCache<K, V>(Mutex<HashMap<K, Slot<V>>>);
+
+impl<K: Eq + std::hash::Hash, V: Cached> GuardedCache<K, V> {
+    fn new() -> Self {
+        GuardedCache(Mutex::new(HashMap::new()))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<V>>> {
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Looks up `key`, verifying the slot's guard (if still present) against
+    /// the probing keyed text. The first hit on every entry pays one
+    /// byte-compare and then drops the guard; a mismatch marks the slot
+    /// conflicted and returns a miss.
+    fn get(&self, key: &K, keyed: &str) -> Option<V> {
+        let mut map = self.lock();
+        let slot = map.get_mut(key)?;
+        if slot.conflicted {
+            return None;
+        }
+        if let Some(guard) = slot.guard.take() {
+            if *guard != *keyed {
+                slot.conflicted = true;
+                return None;
+            }
+        }
+        Some(slot.value.clone())
+    }
+
+    /// Inserts a value. `verified` marks the keyed text as already
+    /// independently confirmed (an in-batch duplicate byte-compared it), in
+    /// which case no guard is retained. Under an occupied key a mismatching
+    /// guard or a [`Cached::conflicts_with`] value poisons the slot; otherwise
+    /// the existing value is kept.
+    fn put(&self, key: K, keyed: &str, value: &V, verified: bool) {
+        let mut map = self.lock();
+        match map.entry(key) {
+            Entry::Vacant(entry) => {
+                entry.insert(Slot {
+                    value: value.clone(),
+                    guard: (!verified).then(|| keyed.into()),
+                    conflicted: false,
+                });
+            }
+            Entry::Occupied(mut entry) => {
+                let slot = entry.get_mut();
+                if slot.guard.as_deref().is_some_and(|g| g != keyed)
+                    || slot.value.conflicts_with(value)
+                {
+                    slot.conflicted = true;
+                }
+            }
+        }
+    }
 }
 
 /// A point-in-time snapshot of the summary cache's memory footprint, read via
@@ -371,9 +440,6 @@ pub struct BatchEntry {
     pub result: Result<AnalysisResult, InferError>,
     /// `Some(note)` when the analysis of this program panicked.
     pub panic_note: Option<String>,
-    /// `true` when this entry was served from the cache (including de-duplicated
-    /// repeats within the same batch).
-    pub cache_hit: bool,
     /// The reuse tier that served this entry, `None` for a fresh analysis.
     pub tier: Option<CacheTier>,
     /// Deterministic work units attributed to this program: `stats.work` of the
@@ -397,7 +463,6 @@ impl BatchEntry {
         BatchEntry {
             result: Err(error),
             panic_note: None,
-            cache_hit: false,
             tier: None,
             work: 0,
             method_hits: 0,
@@ -427,8 +492,9 @@ pub struct AnalysisSession {
     /// [`InferOptions::fingerprint`] of `options`, computed once at
     /// construction and reused for every key.
     fingerprint: String,
-    /// `None` when caching is disabled ([`AnalysisSession::without_cache`]).
-    cache: Option<Mutex<HashMap<ProgramKey, CacheSlot>>>,
+    /// The program tier; `None` when caching is disabled
+    /// ([`AnalysisSession::without_cache`]).
+    cache: Option<GuardedCache<ProgramKey, AnalysisResult>>,
     /// The persistent second tier, read through on a memory miss and written
     /// behind on every fresh result ([`AnalysisSession::with_store`]).
     store: Option<std::sync::Arc<dyn SummaryBackend>>,
@@ -436,7 +502,7 @@ pub struct AnalysisSession {
     fingerprint_hash: u64,
     /// Method-tier records keyed by composite SCC key (see
     /// [`crate::method_cache`]); consulted only when the cache is enabled.
-    method_memory: Mutex<HashMap<MethodKey, MethodSlot>>,
+    methods: GuardedCache<MethodKey, MethodRecord>,
     programs: AtomicU64,
     dedup_hits: AtomicU64,
     memory_hits: AtomicU64,
@@ -465,14 +531,14 @@ impl AnalysisSession {
             fingerprint_hash: fingerprint_hash(&fingerprint),
             fingerprint,
             options,
-            cache: Some(Mutex::new(HashMap::new())),
+            cache: Some(GuardedCache::new()),
             store: None,
             programs: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             memory_hits: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             store_writes: AtomicU64::new(0),
-            method_memory: Mutex::new(HashMap::new()),
+            methods: GuardedCache::new(),
             method_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             work: AtomicU64::new(0),
@@ -533,10 +599,7 @@ impl AnalysisSession {
         let Some(cache) = &self.cache else {
             return CacheMemory::default();
         };
-        let map = match cache.lock() {
-            Ok(map) => map,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let map = cache.lock();
         let resident: u64 = map
             .values()
             .filter_map(|slot| slot.guard.as_ref())
@@ -549,78 +612,20 @@ impl AnalysisSession {
         }
     }
 
-    /// Looks up `key`, verifying the slot's guard (if still present) against
-    /// the probing program's keyed text. The first hit on every entry pays one
-    /// byte-compare and then drops the guard; a mismatch marks the slot
-    /// conflicted and returns a miss.
-    fn cache_get(&self, key: &ProgramKey, keyed: &str) -> Option<AnalysisResult> {
-        let cache = self.cache.as_ref()?;
-        let mut map = match cache.lock() {
-            Ok(map) => map,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let slot = map.get_mut(key)?;
-        if slot.conflicted {
-            return None;
-        }
-        if let Some(guard) = slot.guard.take() {
-            if *guard != *keyed {
-                slot.conflicted = true;
-                return None;
-            }
-            // Verified: the guard is dropped here, reclaiming the text.
-        }
-        Some(slot.result.clone())
-    }
-
-    /// Inserts a result. `verified` marks the entry's text as already
-    /// independently confirmed (an in-batch duplicate byte-compared its full
-    /// text against this job's), in which case no guard needs to be retained;
-    /// otherwise the keyed text is kept as the entry's verification guard
-    /// until the first cache hit checks it.
-    fn cache_put(&self, key: ProgramKey, keyed: &str, result: &AnalysisResult, verified: bool) {
-        if let Some(cache) = &self.cache {
-            let mut map = match cache.lock() {
-                Ok(map) => map,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(CacheSlot {
-                        result: result.clone(),
-                        guard: (!verified).then(|| keyed.into()),
-                        conflicted: false,
-                    });
-                }
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    // A conflicted slot accepts nothing further. A guard
-                    // mismatch is an insert-time collision: poison the slot
-                    // instead of letting either program serve the other. On a
-                    // match (or an already-dropped guard) the existing result
-                    // is kept — concurrent computations of the same program
-                    // insert identical values (the analysis is deterministic).
-                    let slot = entry.get_mut();
-                    if !slot.conflicted && slot.guard.as_deref().is_some_and(|g| g != keyed) {
-                        slot.conflicted = true;
-                    }
-                }
-            }
-        }
-    }
-
     /// Tiered lookup: the in-memory cache first, then the persistent store.
     /// A store hit is installed in the memory tier (with the probing program's
     /// keyed text as its verification guard) so later probes stay in memory.
     /// Updates the per-tier hit counters.
     fn lookup_tiers(&self, key: &ProgramKey, keyed: &str) -> Option<(AnalysisResult, CacheTier)> {
-        if let Some(hit) = self.cache_get(key, keyed) {
+        let cache = self.cache.as_ref()?;
+        if let Some(hit) = cache.get(key, keyed) {
             self.memory_hits.fetch_add(1, Ordering::Relaxed);
             return Some((hit, CacheTier::Memory));
         }
         let store = self.store.as_ref()?;
         let hit = store.load(key, self.fingerprint_hash)?;
         self.store_hits.fetch_add(1, Ordering::Relaxed);
-        self.cache_put(*key, keyed, &hit, false);
+        cache.put(*key, keyed, &hit, false);
         Some((hit, CacheTier::Store))
     }
 
@@ -628,58 +633,12 @@ impl AnalysisSession {
     /// (with guard semantics per `verified`) and — write-behind — the
     /// persistent store.
     fn publish(&self, key: ProgramKey, keyed: &str, result: &AnalysisResult, verified: bool) {
-        self.cache_put(key, keyed, result, verified);
+        if let Some(cache) = &self.cache {
+            cache.put(key, keyed, result, verified);
+        }
         if let Some(store) = &self.store {
             if store.store(&key, self.fingerprint_hash, result) {
                 self.store_writes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Looks up a method-tier record, verifying the slot's guard against the
-    /// probing SCC's keyed text (same discipline as [`Self::cache_get`]).
-    fn method_get(&self, key: &MethodKey, keyed: &str) -> Option<MethodRecord> {
-        let mut map = match self.method_memory.lock() {
-            Ok(map) => map,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let slot = map.get_mut(key)?;
-        if slot.conflicted {
-            return None;
-        }
-        if let Some(guard) = slot.guard.take() {
-            if *guard != *keyed {
-                slot.conflicted = true;
-                return None;
-            }
-        }
-        Some(slot.record.clone())
-    }
-
-    /// Inserts a method-tier record. A mismatching guard *or* a differing
-    /// record under an already-verified key proves a collision and poisons the
-    /// slot (the analysis is deterministic, so equal keyed texts always
-    /// harvest equal records).
-    fn method_put(&self, key: MethodKey, keyed: &str, record: &MethodRecord) {
-        let mut map = match self.method_memory.lock() {
-            Ok(map) => map,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(MethodSlot {
-                    record: record.clone(),
-                    guard: Some(keyed.into()),
-                    conflicted: false,
-                });
-            }
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                let slot = entry.get_mut();
-                if !slot.conflicted
-                    && (slot.guard.as_deref().is_some_and(|g| g != keyed) || slot.record != *record)
-                {
-                    slot.conflicted = true;
-                }
             }
         }
     }
@@ -696,7 +655,7 @@ impl AnalysisSession {
         let mut plan = ReplayPlan::default();
         let mut hits = 0u64;
         for scc in &mut sccs {
-            let memory = self.method_get(&scc.key, &scc.keyed);
+            let memory = self.methods.get(&scc.key, &scc.keyed);
             let from_store = memory.is_none();
             let record = memory.or_else(|| {
                 self.store
@@ -710,7 +669,7 @@ impl AnalysisSession {
                 continue;
             }
             if from_store {
-                self.method_put(scc.key, &scc.keyed, &record);
+                self.methods.put(scc.key, &scc.keyed, &record, false);
             }
             hits += record.methods.len() as u64;
             plan.merge(&record);
@@ -834,7 +793,6 @@ impl AnalysisSession {
                     if let Some((hit, tier)) = self.lookup_tiers(&key, &keyed) {
                         entries[index] = Some(BatchEntry {
                             panic_note: None,
-                            cache_hit: true,
                             tier: Some(tier),
                             work: hit.stats.work,
                             method_hits: 0,
@@ -892,11 +850,7 @@ impl AnalysisSession {
                     let outcome = run_job(&job.program, &self.options, job.scope.as_ref());
                     self.work.fetch_add(outcome.spent, Ordering::Relaxed);
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    let mut guard = match slots.lock() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    guard[index] = Some(outcome);
+                    slots.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(outcome);
                 });
             }
         });
@@ -915,7 +869,7 @@ impl AnalysisSession {
             // write: they deliberately do not move `store_writes` (that
             // counter mirrors `cache_misses` one-to-one).
             for (method_key, method_keyed, record) in &outcome.records {
-                self.method_put(*method_key, method_keyed, record);
+                self.methods.put(*method_key, method_keyed, record, false);
                 if let Some(store) = &self.store {
                     store.store_method(method_key, self.fingerprint_hash, record);
                 }
@@ -926,7 +880,6 @@ impl AnalysisSession {
                 entries[*target] = Some(BatchEntry {
                     result: outcome.result.clone(),
                     panic_note: outcome.panic_note.clone(),
-                    cache_hit: position > 0,
                     tier: (position > 0).then_some(CacheTier::Dedup),
                     work: match &outcome.result {
                         Ok(result) => result.stats.work,
@@ -1030,7 +983,10 @@ mod tests {
             ]
         );
         // Whitespace differences normalise away: the third entry is a hit.
-        assert!(!batch[0].cache_hit && !batch[1].cache_hit && batch[2].cache_hit);
+        assert_eq!(
+            [batch[0].tier, batch[1].tier, batch[2].tier],
+            [None, None, Some(CacheTier::Dedup)]
+        );
         assert_eq!(batch[0].work, batch[2].work);
         let stats = session.stats();
         assert_eq!(
@@ -1049,7 +1005,7 @@ mod tests {
         let session = AnalysisSession::new(InferOptions::default());
         let first = session.analyze_source(COUNTDOWN).unwrap();
         let batch = session.analyze_batch_with(&[COUNTDOWN], 1);
-        assert!(batch[0].cache_hit);
+        assert_eq!(batch[0].tier, Some(CacheTier::Memory));
         let again = batch[0].result.as_ref().unwrap();
         assert_eq!(first.program_verdict(), again.program_verdict());
         assert_eq!(first.stats.work, again.stats.work);
@@ -1072,7 +1028,7 @@ mod tests {
     fn disabled_cache_analyses_every_program() {
         let session = AnalysisSession::without_cache(InferOptions::default());
         let batch = session.analyze_batch_with(&[COUNTDOWN, COUNTDOWN], 2);
-        assert!(batch.iter().all(|e| !e.cache_hit));
+        assert!(batch.iter().all(|e| e.tier.is_none()));
         let stats = session.stats();
         assert_eq!((stats.cache_misses, stats.cache_hits()), (2, 0));
     }
@@ -1111,21 +1067,23 @@ void main(node x) requires cll(x, n) ensures true; { return; }";
 
     #[test]
     fn forged_key_collision_never_aliases() {
-        let session = AnalysisSession::new(InferOptions::default());
-        let result = session.analyze_source(COUNTDOWN).unwrap();
+        let result = AnalysisSession::new(InferOptions::default())
+            .analyze_source(COUNTDOWN)
+            .unwrap();
         // A genuine simultaneous FNV-1a + FNV-1 collision cannot be crafted,
         // so forge one: file two distinct keyed texts under the same key via
         // the verification seams the real paths go through.
+        let cache = GuardedCache::<ProgramKey, AnalysisResult>::new();
         let key = ProgramKey::of_keyed_text("canonical text A");
-        session.cache_put(key, "canonical text A", &result, false);
+        cache.put(key, "canonical text A", &result, false);
         // A probe with the colliding text must be refused (not served A's
         // result)…
-        assert!(session.cache_get(&key, "canonical text B").is_none());
+        assert!(cache.get(&key, "canonical text B").is_none());
         // …and the conflicted slot is permanently dead, even for the original
         // text and for later inserts.
-        assert!(session.cache_get(&key, "canonical text A").is_none());
-        session.cache_put(key, "canonical text B", &result, false);
-        assert!(session.cache_get(&key, "canonical text B").is_none());
+        assert!(cache.get(&key, "canonical text A").is_none());
+        cache.put(key, "canonical text B", &result, false);
+        assert!(cache.get(&key, "canonical text B").is_none());
     }
 
     #[test]
@@ -1147,10 +1105,11 @@ void main(node x) requires cll(x, n) ensures true; { return; }";
         let session = AnalysisSession::new(InferOptions::default());
         let term = session.analyze_source(COUNTDOWN).unwrap();
         let div = session.analyze_source(DIVERGING).unwrap();
-        session.cache_put(a, "canonical text A", &term, false);
-        session.cache_put(b, "canonical text B", &div, false);
-        let got_a = session.cache_get(&a, "canonical text A").unwrap();
-        let got_b = session.cache_get(&b, "canonical text B").unwrap();
+        let cache = GuardedCache::<ProgramKey, AnalysisResult>::new();
+        cache.put(a, "canonical text A", &term, false);
+        cache.put(b, "canonical text B", &div, false);
+        let got_a = cache.get(&a, "canonical text A").unwrap();
+        let got_b = cache.get(&b, "canonical text B").unwrap();
         assert_eq!(got_a.program_verdict(), term.program_verdict());
         assert_eq!(got_b.program_verdict(), div.program_verdict());
         assert_ne!(got_a.program_verdict(), got_b.program_verdict());
@@ -1158,13 +1117,72 @@ void main(node x) requires cll(x, n) ensures true; { return; }";
 
     #[test]
     fn insert_time_collision_poisons_the_slot() {
-        let session = AnalysisSession::new(InferOptions::default());
-        let result = session.analyze_source(COUNTDOWN).unwrap();
+        let result = AnalysisSession::new(InferOptions::default())
+            .analyze_source(COUNTDOWN)
+            .unwrap();
+        let cache = GuardedCache::<ProgramKey, AnalysisResult>::new();
         let key = ProgramKey::of_keyed_text("canonical text A");
-        session.cache_put(key, "canonical text A", &result, false);
-        session.cache_put(key, "canonical text B", &result, false);
-        assert!(session.cache_get(&key, "canonical text A").is_none());
-        assert!(session.cache_get(&key, "canonical text B").is_none());
+        cache.put(key, "canonical text A", &result, false);
+        cache.put(key, "canonical text B", &result, false);
+        assert!(cache.get(&key, "canonical text A").is_none());
+        assert!(cache.get(&key, "canonical text B").is_none());
+    }
+
+    /// A leaf plus a root calling it: two call-graph SCCs, so two method
+    /// records.
+    const LEAF_ROOT: &str = "void leaf(int x) { if (x > 0) { leaf(x - 1); } else { return; } } \
+         void root(int x, int y) { leaf(x); if (y > 0) { root(x, y - 1); } else { return; } }";
+
+    fn record_for(methods: &[&str]) -> MethodRecord {
+        MethodRecord {
+            methods: methods.iter().map(|m| m.to_string()).collect(),
+            roots: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn forged_method_key_collision_never_replays_another_record() {
+        let cold =
+            AnalysisSession::new(InferOptions::default()).analyze_batch_with(&[LEAF_ROOT], 1);
+        let session = AnalysisSession::new(InferOptions::default());
+        let program = tnt_lang::frontend(LEAF_ROOT).unwrap();
+        let graph = tnt_verify::CallGraph::build(&program);
+        // File a record under every SCC's real key, but guarded by a
+        // different keyed text: a forged 128-bit collision. The record names
+        // the probing SCC's own members, so only the guard can refuse it.
+        for scc in scc_keys(&program, &graph, &session.fingerprint) {
+            let members: Vec<&str> = scc.methods.iter().map(String::as_str).collect();
+            let forged = format!("{}\x1fanother SCC", scc.keyed);
+            session
+                .methods
+                .put(scc.key, &forged, &record_for(&members), false);
+        }
+        let batch = session.analyze_batch_with(&[LEAF_ROOT], 1);
+        assert_eq!(batch[0].method_hits, 0, "a forged key must not replay");
+        assert_eq!(session.stats().method_hits, 0);
+        let render = |entry: &BatchEntry| {
+            let result = entry.result.as_ref().unwrap();
+            let summaries: Vec<String> = result.summaries.values().map(|s| s.render()).collect();
+            (result.stats.work, summaries)
+        };
+        assert_eq!(render(&batch[0]), render(&cold[0]));
+    }
+
+    #[test]
+    fn differing_record_under_a_verified_method_key_poisons_the_slot() {
+        let cache = GuardedCache::<MethodKey, MethodRecord>::new();
+        let key = MethodKey::of_keyed_text("scc text");
+        let leaf = record_for(&["leaf"]);
+        cache.put(key, "scc text", &leaf, false);
+        // The first hit verifies and drops the guard; an equal re-insert is
+        // then harmless.
+        assert_eq!(cache.get(&key, "scc text"), Some(leaf.clone()));
+        cache.put(key, "scc text", &leaf, false);
+        assert_eq!(cache.get(&key, "scc text"), Some(leaf));
+        // A different record under the same text can only be a collision.
+        cache.put(key, "scc text", &record_for(&["root"]), false);
+        assert!(cache.get(&key, "scc text").is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::method_cache::{
 };
 use crate::prove::{
     prove_nonterm, prove_nonterm_assuming, prove_nonterm_recurrent,
-    prove_nonterm_recurrent_enriched, prove_term, prove_term_conditional, split, ProveOptions,
+    prove_nonterm_recurrent_enriched, prove_term, prove_term_conditional, split,
 };
 use crate::specialize::{specialize_post, specialize_pre, EdgeTarget, ReachGraph};
 use crate::theta::{CaseState, Theta};
@@ -14,8 +14,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use tnt_logic::{entail, qe, simplify, Formula};
 use tnt_verify::hoare::ProgramAnalysis;
 
-/// Tunable options of the solver (a superset of [`ProveOptions`], exposed for the
-/// ablation study).
+/// Tunable options of the solver and its provers (exposed for the ablation
+/// study).
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
     /// Maximum number of refinement iterations (`MAX_ITER` in Fig. 6).
@@ -91,20 +91,6 @@ impl Default for SolveOptions {
             work_budget: 600_000,
             max_total_cases: 64,
             max_splits_per_family: 6,
-        }
-    }
-}
-
-impl SolveOptions {
-    fn prove_options(&self) -> ProveOptions {
-        ProveOptions {
-            lexicographic: self.lexicographic,
-            max_lex_components: self.max_lex_components,
-            enable_case_split: self.enable_case_split,
-            multiphase: self.multiphase,
-            max_phases: self.max_phases,
-            recurrent: self.recurrent,
-            orbit_enrichment: self.orbit_enrichment,
         }
     }
 }
@@ -228,7 +214,6 @@ pub(crate) fn solve_with_scope(
     let mut injected_pivots: u64 = 0;
 
     // Main refinement loop (lines 6–14 of Fig. 6).
-    let prove_options = options.prove_options();
     let work_start = work_units();
     // The deadline lets synthesis loops inside the solver stop between LP solves,
     // bounding how far a single prove call can overshoot the budget.
@@ -370,7 +355,7 @@ pub(crate) fn solve_with_scope(
                 !successors.is_empty() && successors.iter().all(|t| matches!(t, EdgeTarget::Term));
             if all_term {
                 stats.ranking_attempts += 1;
-                if let Some(measures) = prove_term(&scc, &graph, &theta, &prove_options) {
+                if let Some(measures) = prove_term(&scc, &graph, &theta, options) {
                     let mut outcomes = Vec::new();
                     for (pre, measure) in measures {
                         if let Some((r, i, _)) = members
@@ -392,7 +377,7 @@ pub(crate) fn solve_with_scope(
             // Non-termination proof (directly, or as the fall-back after a failed
             // termination proof, or when a successor is Loop/MayLoop).
             stats.nonterm_attempts += 1;
-            let outcome = prove_nonterm(&scc, &obligations, &theta, &prove_options);
+            let outcome = prove_nonterm(&scc, &obligations, &theta, options);
             if outcome.success {
                 for pre in &scc {
                     theta.resolve(pre, CaseState::Loop);
@@ -416,7 +401,7 @@ pub(crate) fn solve_with_scope(
             // Not gated on all-`Term` successors: the prover itself certifies that
             // every edge towards a non-`Term` target is infeasible inside the region.
             stats.ranking_attempts += 1;
-            if let Some(cases) = prove_term_conditional(&scc, &graph, &theta, &prove_options) {
+            if let Some(cases) = prove_term_conditional(&scc, &graph, &theta, options) {
                 for (pre, case) in cases {
                     if case.remainder.is_empty() {
                         theta.resolve(&pre, CaseState::Term(case.measure));
@@ -435,14 +420,14 @@ pub(crate) fn solve_with_scope(
             // must be *discovered* rather than read off the case structure (the
             // aperiodic class). A whole-guard certificate resolves the case to
             // `Loop`; a partial one splits the case on the recurrent region.
-            if prove_options.recurrent && scc.len() == 1 {
+            if options.recurrent && scc.len() == 1 {
                 stats.nonterm_attempts += 1;
                 if let Some(rec) = prove_nonterm_recurrent(
                     &scc,
                     &graph,
                     &obligations,
                     &theta,
-                    &prove_options,
+                    options,
                     &BTreeSet::new(),
                 ) {
                     if rec.remainder.is_empty() {
@@ -494,7 +479,7 @@ pub(crate) fn solve_with_scope(
             // the simulation + enlarged LP cost is paid only on cases nothing
             // else decides. Work spent here is accounted separately so the
             // enrichment's cost stays attributable.
-            if prove_options.orbit_enrichment && prove_options.recurrent && scc.len() == 1 {
+            if options.orbit_enrichment && options.recurrent && scc.len() == 1 {
                 stats.orbit_attempts += 1;
                 let orbit_start = work_units();
                 let enriched = prove_nonterm_recurrent_enriched(
@@ -502,7 +487,7 @@ pub(crate) fn solve_with_scope(
                     &graph,
                     &obligations,
                     &theta,
-                    &prove_options,
+                    options,
                     &BTreeSet::new(),
                 );
                 stats.orbit_work = stats
@@ -701,7 +686,7 @@ fn validate_within_budget(analysis: &ProgramAnalysis, theta: &Theta, budget: u64
     let edges = specialize_pre(analysis, &resolved_theta);
     let graph = ReachGraph::build(edges, &resolved_theta.unresolved_pres());
     let obligations = specialize_post(analysis, &resolved_theta);
-    let options = ProveOptions::default();
+    let options = SolveOptions::default();
     // Coinductive hypotheses for the `Loop` re-checks: the post-predicates of
     // every case the final store resolved to `Loop`. Every such case is
     // re-proven below, so assuming the others' posts unreachable is sound by

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod builder;
 pub mod desugar;
 pub mod lexer;
 pub mod normalize;

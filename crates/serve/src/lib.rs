@@ -160,12 +160,9 @@ pub fn serve(server: &Server, input: impl BufRead, mut output: impl Write) -> io
 fn render_response(id: &Value, entry: &BatchEntry) -> String {
     let result = match (&entry.result, &entry.panic_note) {
         (Ok(result), _) => result,
-        (Err(_), Some(note)) => {
-            return error_response(id, &format!("analysis panicked: {note}"));
-        }
-        (Err(err), None) => {
-            return error_response(id, &err.to_string());
-        }
+        // A panic note already reads `analysis panicked: …`.
+        (Err(_), Some(note)) => return error_response(id, note),
+        (Err(err), None) => return error_response(id, &err.to_string()),
     };
     let verdict = match result.program_verdict() {
         tnt_infer::Verdict::Terminating => "Y",
@@ -491,6 +488,25 @@ mod tests {
             Some("ok"),
             "the loop keeps serving after an oversized line"
         );
+    }
+
+    #[test]
+    fn panicked_analysis_is_reported_with_one_prefix() {
+        let note = tnt_infer::session::panic_note(&"boom");
+        let entry = BatchEntry {
+            result: Err(tnt_infer::InferError {
+                message: note.clone(),
+            }),
+            panic_note: Some(note),
+            tier: None,
+            work: 0,
+            method_hits: 0,
+            elapsed: 0.0,
+        };
+        let resp = parse(&render_response(&Value::Number(5.0), &entry));
+        assert_eq!(resp.get("status").and_then(Value::as_str), Some("error"));
+        let message = resp.get("error").and_then(Value::as_str).unwrap();
+        assert_eq!(message, "analysis panicked: boom");
     }
 
     #[test]

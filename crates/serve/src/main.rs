@@ -61,8 +61,8 @@ fn main() -> ExitCode {
     }
 
     let mut server = Server::new(InferOptions::default()).with_max_request_bytes(max_request_bytes);
-    let store = match store_dir {
-        Some(dir) => match SummaryStore::open(&dir) {
+    if let Some(dir) = store_dir {
+        match SummaryStore::open(&dir) {
             Ok(store) => {
                 for note in store.diagnostics() {
                     eprintln!("tnt-serve: {note}");
@@ -72,17 +72,14 @@ fn main() -> ExitCode {
                     store.path().display(),
                     store.entries()
                 );
-                let store = Arc::new(store);
-                server = server.with_store(store.clone());
-                Some(store)
+                server = server.with_store(Arc::new(store));
             }
             Err(err) => {
                 eprintln!("tnt-serve: cannot open store in '{dir}': {err}");
                 return ExitCode::FAILURE;
             }
-        },
-        None => None,
-    };
+        }
+    }
 
     let stdin = io::stdin();
     let stdout = io::stdout();
@@ -91,12 +88,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Surface any store corruption diagnostics accumulated while serving.
-    if let Some(store) = store {
-        for note in store.diagnostics() {
-            eprintln!("tnt-serve: {note}");
-        }
-    }
     let stats = server.stats();
     let _ = writeln!(
         io::stderr(),

@@ -17,6 +17,9 @@
 //! payload  method_key:16B ++ fingerprint_hash:u64le ++ encoded MethodRecord
 //! ```
 //!
+//! Both record kinds share one frame layout and one code path: one scan, one
+//! index (by kind, then key), one load and one store body.
+//!
 //! A file with any other header — including an older layout version — is
 //! rejected as "not a summary store" and left untouched.
 //!
@@ -60,18 +63,21 @@ pub const STORE_FILE: &str = "summaries.tnt";
 /// 03: tagged `MR` method-tier records alongside `TR` program records.)
 pub const HEADER: &[u8; 8] = b"TNTSUM03";
 
-/// Per-record frame magic for program-tier records, a cheap framing sanity
+/// Per-record frame magic, indexed by record kind: `TR` for program-tier
+/// records ([`PROGRAM`]), `MR` for method-tier records ([`METHOD`]). Both
+/// kinds share one frame layout; the magic is also a cheap framing sanity
 /// check when skipping a checksum-bad record.
-const RECORD_MAGIC: &[u8; 2] = b"TR";
+const MAGICS: [&[u8; 2]; 2] = [b"TR", b"MR"];
 
-/// Per-record frame magic for method-tier records (see
-/// [`tnt_infer::MethodRecord`]); same frame layout as `TR`, the payload is
-/// `method_key:16B ++ fingerprint_hash:u64le ++ encoded MethodRecord`.
-const METHOD_MAGIC: &[u8; 2] = b"MR";
+/// Record kind of an [`AnalysisResult`] keyed by [`ProgramKey`].
+const PROGRAM: usize = 0;
 
-/// `true` when the two bytes at the start of `rest` are a known record magic.
-fn is_record_magic(rest: &[u8]) -> bool {
-    rest.starts_with(RECORD_MAGIC) || rest.starts_with(METHOD_MAGIC)
+/// Record kind of a [`MethodRecord`] keyed by [`MethodKey`].
+const METHOD: usize = 1;
+
+/// The record kind whose magic starts `rest`, if any.
+fn kind_of(rest: &[u8]) -> Option<usize> {
+    MAGICS.iter().position(|magic| rest.starts_with(*magic))
 }
 
 /// Frame overhead around a payload: magic (2) + length (4) + checksum (8).
@@ -116,9 +122,8 @@ enum ScanStop {
 }
 
 struct ScanResult {
-    records: Vec<(ProgramKey, IndexEntry)>,
-    /// Method-tier (`MR`) records, indexed separately from program records.
-    method_records: Vec<(MethodKey, IndexEntry)>,
+    /// `(kind, key, entry)` of every well-framed record, in log order.
+    records: Vec<(usize, [u8; 16], IndexEntry)>,
     /// One past the last well-framed record.
     end: u64,
     stop: ScanStop,
@@ -129,7 +134,6 @@ struct ScanResult {
 /// decoding results; checksums are verified and bad records skipped.
 fn scan_records(buf: &[u8], base: u64) -> ScanResult {
     let mut records = Vec::new();
-    let mut method_records = Vec::new();
     let mut diagnostics = Vec::new();
     let mut pos = 0usize;
     let stop = loop {
@@ -141,10 +145,9 @@ fn scan_records(buf: &[u8], base: u64) -> ScanResult {
         if rest.len() < 2 {
             break ScanStop::Truncated(at);
         }
-        if !is_record_magic(rest) {
+        let Some(kind) = kind_of(rest) else {
             break ScanStop::BadFraming(at);
-        }
-        let is_method = rest.starts_with(METHOD_MAGIC);
+        };
         if rest.len() < 6 {
             break ScanStop::Truncated(at);
         }
@@ -159,7 +162,7 @@ fn scan_records(buf: &[u8], base: u64) -> ScanResult {
         let payload = &rest[6..6 + len];
         let stored_sum = u64::from_le_bytes(rest[6 + len..6 + len + 8].try_into().expect("8"));
         let next = pos + 6 + len + 8;
-        let framed_next = next == buf.len() || is_record_magic(&buf[next..]);
+        let framed_next = next == buf.len() || kind_of(&buf[next..]).is_some();
         let ok = fnv1a(payload) == stored_sum && len >= PAYLOAD_PREFIX;
         if !ok {
             if !framed_next {
@@ -173,35 +176,39 @@ fn scan_records(buf: &[u8], base: u64) -> ScanResult {
             pos = next;
             continue;
         }
-        let mut key_bytes = [0u8; 16];
-        key_bytes.copy_from_slice(&payload[..16]);
+        let key: [u8; 16] = payload[..16].try_into().expect("16");
         let fingerprint_hash = u64::from_le_bytes(payload[16..24].try_into().expect("8"));
         let entry = IndexEntry {
             fingerprint_hash,
             payload_offset: at + 6,
             payload_len: len as u32,
         };
-        if is_method {
-            method_records.push((MethodKey::from_bytes(key_bytes), entry));
-        } else {
-            records.push((ProgramKey::from_bytes(key_bytes), entry));
-        }
+        records.push((kind, key, entry));
         pos = next;
     };
     ScanResult {
         records,
-        method_records,
         end: base + pos as u64,
         stop,
         diagnostics,
     }
 }
 
+/// Record locations by kind ([`PROGRAM`], [`METHOD`]), then raw key bytes.
+type Index = [HashMap<[u8; 16], IndexEntry>; 2];
+
+/// Indexes scanned records by kind and key. First record wins: the writer
+/// never appends a key twice, so a duplicate implies an anomaly; serving the
+/// earliest keeps replay deterministic.
+fn index_records(index: &mut Index, records: Vec<(usize, [u8; 16], IndexEntry)>) {
+    for (kind, key, entry) in records {
+        index[kind].entry(key).or_insert(entry);
+    }
+}
+
 struct Inner {
     file: File,
-    index: HashMap<ProgramKey, IndexEntry>,
-    /// Method-tier (`MR`) records, keyed by composite [`MethodKey`].
-    method_index: HashMap<MethodKey, IndexEntry>,
+    index: Index,
     /// One past the last well-framed record — where the writer appends and the
     /// reader's [`SummaryStore::refresh`] resumes scanning.
     end: u64,
@@ -209,10 +216,11 @@ struct Inner {
 }
 
 impl Inner {
-    /// Reads and re-verifies one indexed frame's payload.
+    /// Reads and re-verifies one indexed frame: the returned buffer holds the
+    /// payload followed by its 8-byte checksum.
     fn read_frame(&mut self, entry: IndexEntry) -> Result<Vec<u8>, String> {
-        let total = entry.payload_len as usize + 8;
-        let mut frame = vec![0u8; total];
+        let len = entry.payload_len as usize;
+        let mut frame = vec![0u8; len + 8];
         self.file
             .seek(SeekFrom::Start(entry.payload_offset))
             .and_then(|_| self.file.read_exact(&mut frame))
@@ -222,43 +230,41 @@ impl Inner {
                     entry.payload_offset
                 )
             })?;
-        let payload = &frame[..entry.payload_len as usize];
-        let stored_sum =
-            u64::from_le_bytes(frame[entry.payload_len as usize..].try_into().expect("8"));
-        if fnv1a(payload) != stored_sum {
+        let stored_sum = u64::from_le_bytes(frame[len..].try_into().expect("8"));
+        if fnv1a(&frame[..len]) != stored_sum {
             return Err(format!(
                 "store: record at offset {} failed its checksum on re-read; the summary will be recomputed",
                 entry.payload_offset
             ));
         }
-        Ok(payload.to_vec())
+        Ok(frame)
     }
+}
 
-    /// Reads and re-verifies one indexed program-tier payload. Any failure
-    /// de-indexes the record (so the cost is paid once) and returns `None`.
-    fn read_payload(&mut self, key: &ProgramKey) -> Option<Vec<u8>> {
-        let entry = *self.index.get(key)?;
-        match self.read_frame(entry) {
-            Ok(payload) => Some(payload),
-            Err(diagnostic) => {
-                self.diagnostics.push(diagnostic);
-                self.index.remove(key);
-                None
-            }
-        }
+/// A value the store persists: its record kind and its codec.
+trait Record: Sized {
+    const KIND: usize;
+    fn encode(&self) -> Vec<u8>;
+    fn decode(bytes: &[u8]) -> Result<Self, codec::DecodeError>;
+}
+
+impl Record for AnalysisResult {
+    const KIND: usize = PROGRAM;
+    fn encode(&self) -> Vec<u8> {
+        codec::encode_result(self)
     }
+    fn decode(bytes: &[u8]) -> Result<Self, codec::DecodeError> {
+        codec::decode_result(bytes)
+    }
+}
 
-    /// The method-tier counterpart of [`Inner::read_payload`].
-    fn read_method_payload(&mut self, key: &MethodKey) -> Option<Vec<u8>> {
-        let entry = *self.method_index.get(key)?;
-        match self.read_frame(entry) {
-            Ok(payload) => Some(payload),
-            Err(diagnostic) => {
-                self.diagnostics.push(diagnostic);
-                self.method_index.remove(key);
-                None
-            }
-        }
+impl Record for MethodRecord {
+    const KIND: usize = METHOD;
+    fn encode(&self) -> Vec<u8> {
+        codec::encode_method_record(self)
+    }
+    fn decode(bytes: &[u8]) -> Result<Self, codec::DecodeError> {
+        codec::decode_method_record(bytes)
     }
 }
 
@@ -374,24 +380,14 @@ impl SummaryStore {
             }
         }
 
-        let mut index = HashMap::with_capacity(scan.records.len());
-        for (key, entry) in scan.records {
-            // First record wins: the writer never appends a key twice, so a
-            // duplicate implies an anomaly; serving the earliest keeps replay
-            // deterministic.
-            index.entry(key).or_insert(entry);
-        }
-        let mut method_index = HashMap::with_capacity(scan.method_records.len());
-        for (key, entry) in scan.method_records {
-            method_index.entry(key).or_insert(entry);
-        }
+        let mut index = Index::default();
+        index_records(&mut index, scan.records);
         Ok(SummaryStore {
             path,
             writable,
             inner: Mutex::new(Inner {
                 file,
                 index,
-                method_index,
                 end: scan.end,
                 diagnostics,
             }),
@@ -405,25 +401,18 @@ impl SummaryStore {
 
     /// Number of distinct keys currently served.
     pub fn entries(&self) -> usize {
-        self.inner.lock().unwrap().index.len()
+        self.inner.lock().unwrap().index[PROGRAM].len()
     }
 
     /// Number of distinct method-tier keys currently served.
     pub fn method_entries(&self) -> usize {
-        self.inner.lock().unwrap().method_index.len()
+        self.inner.lock().unwrap().index[METHOD].len()
     }
 
     /// Drains accumulated diagnostics (corrupt records skipped, torn tails
     /// truncated, IO errors). Empty in the happy path.
     pub fn diagnostics(&self) -> Vec<String> {
         std::mem::take(&mut self.inner.lock().unwrap().diagnostics)
-    }
-
-    /// Drains accumulated diagnostics — the explicit draining name mirrored by
-    /// [`SummaryBackend::take_diagnostics`], so daemons holding a store handle
-    /// can surface self-healed corruption instead of silently swallowing it.
-    pub fn take_diagnostics(&self) -> Vec<String> {
-        self.diagnostics()
     }
 
     /// Re-scans the log past the last known record boundary, indexing records
@@ -439,13 +428,8 @@ impl SummaryStore {
             return Ok(0);
         }
         let scan = scan_records(&buf, base);
-        let found = scan.records.len() + scan.method_records.len();
-        for (key, entry) in scan.records {
-            inner.index.entry(key).or_insert(entry);
-        }
-        for (key, entry) in scan.method_records {
-            inner.method_index.entry(key).or_insert(entry);
-        }
+        let found = scan.records.len();
+        index_records(&mut inner.index, scan.records);
         inner.end = scan.end;
         inner.diagnostics.extend(scan.diagnostics);
         if let ScanStop::BadFraming(at) = scan.stop {
@@ -456,27 +440,62 @@ impl SummaryStore {
         Ok(found)
     }
 
-    /// Appends one framed record (`magic ++ len ++ key ++ fp_hash ++ encoded
-    /// ++ checksum`) at the tracked record boundary. Returns the new payload's
-    /// index entry, or `None` when the write failed (with a diagnostic).
-    fn append_frame(
-        &self,
-        inner: &mut Inner,
-        magic: &[u8; 2],
-        key_bytes: [u8; 16],
-        fingerprint_hash: u64,
-        encoded: &[u8],
-    ) -> Option<IndexEntry> {
-        let mut payload = Vec::with_capacity(PAYLOAD_PREFIX + encoded.len());
-        payload.extend_from_slice(&key_bytes);
-        payload.extend_from_slice(&fingerprint_hash.to_le_bytes());
-        payload.extend_from_slice(encoded);
+    /// Loads the record of kind `R` under `key`. A fingerprint mismatch is a
+    /// miss with a diagnostic; an unreadable or undecodable record is
+    /// de-indexed (so the cost is paid once) and is a miss as well.
+    fn load_record<R: Record>(&self, key: [u8; 16], fingerprint_hash: u64) -> Option<R> {
+        let mut inner = self.inner.lock().unwrap();
+        let entry = *inner.index[R::KIND].get(&key)?;
+        if entry.fingerprint_hash != fingerprint_hash {
+            inner.diagnostics.push(format!(
+                "store: {} record for key {:032x} carries options fingerprint {:#018x}, expected {fingerprint_hash:#018x}; treating as a miss",
+                MAGICS[R::KIND].escape_ascii(),
+                u128::from_le_bytes(key),
+                entry.fingerprint_hash
+            ));
+            return None;
+        }
+        let decoded = inner.read_frame(entry).and_then(|frame| {
+            R::decode(&frame[PAYLOAD_PREFIX..entry.payload_len as usize]).map_err(|err| {
+                format!(
+                    "store: record at offset {} is undecodable ({err}); the summary will be recomputed",
+                    entry.payload_offset
+                )
+            })
+        });
+        match decoded {
+            Ok(record) => Some(record),
+            Err(diagnostic) => {
+                inner.diagnostics.push(diagnostic);
+                inner.index[R::KIND].remove(&key);
+                None
+            }
+        }
+    }
 
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-        frame.extend_from_slice(magic);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    /// Appends `record` as one frame (`magic ++ len ++ key ++ fp_hash ++
+    /// encoded ++ checksum`) at the tracked record boundary and indexes it.
+    /// Returns `false` on a read-only handle, when the key is already present
+    /// (records are deterministic, so a rewrite would only duplicate it), or
+    /// when the write failed (with a diagnostic).
+    fn store_record<R: Record>(&self, key: [u8; 16], fingerprint_hash: u64, record: &R) -> bool {
+        if !self.writable {
+            return false;
+        }
+        let mut inner = self.inner.lock().unwrap();
+        if inner.index[R::KIND].contains_key(&key) {
+            return false;
+        }
+        let encoded = record.encode();
+        let payload_len = PAYLOAD_PREFIX + encoded.len();
+        let mut frame = Vec::with_capacity(payload_len + FRAME_OVERHEAD);
+        frame.extend_from_slice(MAGICS[R::KIND]);
+        frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
+        frame.extend_from_slice(&key);
+        frame.extend_from_slice(&fingerprint_hash.to_le_bytes());
+        frame.extend_from_slice(&encoded);
+        let checksum = fnv1a(&frame[6..]);
+        frame.extend_from_slice(&checksum.to_le_bytes());
 
         // Append at the tracked record boundary, not the file cursor (loads
         // seek the same handle). If the write tears (IO error, crash), the
@@ -493,112 +512,36 @@ impl SummaryStore {
                 "store: append to {} failed ({err}); the result was not persisted",
                 self.path.display()
             ));
-            return None;
+            return false;
         }
         inner.end = end + frame.len() as u64;
-        Some(IndexEntry {
-            fingerprint_hash,
-            payload_offset: end + 6,
-            payload_len: payload.len() as u32,
-        })
+        inner.index[R::KIND].insert(
+            key,
+            IndexEntry {
+                fingerprint_hash,
+                payload_offset: end + 6,
+                payload_len: payload_len as u32,
+            },
+        );
+        true
     }
 }
 
 impl SummaryBackend for SummaryStore {
     fn load(&self, key: &ProgramKey, fingerprint_hash: u64) -> Option<AnalysisResult> {
-        let mut inner = self.inner.lock().unwrap();
-        let entry = *inner.index.get(key)?;
-        if entry.fingerprint_hash != fingerprint_hash {
-            inner.diagnostics.push(format!(
-                "store: record for key {key:?} carries options fingerprint {:#018x}, expected {fingerprint_hash:#018x}; treating as a miss",
-                entry.fingerprint_hash
-            ));
-            return None;
-        }
-        let payload = inner.read_payload(key)?;
-        match codec::decode_result(&payload[PAYLOAD_PREFIX..]) {
-            Ok(result) => Some(result),
-            Err(err) => {
-                inner.diagnostics.push(format!(
-                    "store: record at offset {} is undecodable ({err}); the summary will be recomputed",
-                    entry.payload_offset
-                ));
-                inner.index.remove(key);
-                None
-            }
-        }
+        self.load_record(key.to_bytes(), fingerprint_hash)
     }
 
     fn store(&self, key: &ProgramKey, fingerprint_hash: u64, result: &AnalysisResult) -> bool {
-        if !self.writable {
-            return false;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        if inner.index.contains_key(key) {
-            return false;
-        }
-        let encoded = codec::encode_result(result);
-        match self.append_frame(
-            &mut inner,
-            RECORD_MAGIC,
-            key.to_bytes(),
-            fingerprint_hash,
-            &encoded,
-        ) {
-            Some(entry) => {
-                inner.index.insert(*key, entry);
-                true
-            }
-            None => false,
-        }
+        self.store_record(key.to_bytes(), fingerprint_hash, result)
     }
 
     fn load_method(&self, key: &MethodKey, fingerprint_hash: u64) -> Option<MethodRecord> {
-        let mut inner = self.inner.lock().unwrap();
-        let entry = *inner.method_index.get(key)?;
-        if entry.fingerprint_hash != fingerprint_hash {
-            inner.diagnostics.push(format!(
-                "store: method record for key {key:?} carries options fingerprint {:#018x}, expected {fingerprint_hash:#018x}; treating as a miss",
-                entry.fingerprint_hash
-            ));
-            return None;
-        }
-        let payload = inner.read_method_payload(key)?;
-        match codec::decode_method_record(&payload[PAYLOAD_PREFIX..]) {
-            Ok(record) => Some(record),
-            Err(err) => {
-                inner.diagnostics.push(format!(
-                    "store: method record at offset {} is undecodable ({err}); the methods will be re-proven",
-                    entry.payload_offset
-                ));
-                inner.method_index.remove(key);
-                None
-            }
-        }
+        self.load_record(key.to_bytes(), fingerprint_hash)
     }
 
     fn store_method(&self, key: &MethodKey, fingerprint_hash: u64, record: &MethodRecord) -> bool {
-        if !self.writable {
-            return false;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        if inner.method_index.contains_key(key) {
-            return false;
-        }
-        let encoded = codec::encode_method_record(record);
-        match self.append_frame(
-            &mut inner,
-            METHOD_MAGIC,
-            key.to_bytes(),
-            fingerprint_hash,
-            &encoded,
-        ) {
-            Some(entry) => {
-                inner.method_index.insert(*key, entry);
-                true
-            }
-            None => false,
-        }
+        self.store_record(key.to_bytes(), fingerprint_hash, record)
     }
 
     fn take_diagnostics(&self) -> Vec<String> {
@@ -727,14 +670,27 @@ mod tests {
         assert!(writer.load(&key(2), 7).is_some());
     }
 
+    /// Runs over both record kinds: a corrupt `MR` frame is skipped exactly
+    /// like a corrupt `TR` frame.
     #[test]
     fn checksum_bad_record_is_skipped_but_neighbours_survive() {
+        checksum_bad_middle_record(|n| sample_result(n, false));
+        checksum_bad_middle_record(|n| MethodRecord {
+            methods: vec![format!("m{n}")],
+            ..sample_method_record()
+        });
+    }
+
+    /// Stores three records of kind `R`, flips a byte inside the middle
+    /// record's payload, and checks that only that record is lost.
+    fn checksum_bad_middle_record<R: Record>(make: impl Fn(u64) -> R) {
         let dir = TempDir::new();
         let store = SummaryStore::open(dir.path()).expect("open");
-        assert!(store.store(&key(1), 7, &sample_result(100, false)));
+        let raw = |n: u64| key(n).to_bytes();
+        assert!(store.store_record(raw(1), 7, &make(1)));
         let first_end = std::fs::metadata(store.path()).unwrap().len();
-        assert!(store.store(&key(2), 7, &sample_result(200, false)));
-        assert!(store.store(&key(3), 7, &sample_result(300, false)));
+        assert!(store.store_record(raw(2), 7, &make(2)));
+        assert!(store.store_record(raw(3), 7, &make(3)));
         let path = store.path().to_path_buf();
         drop(store);
 
@@ -745,14 +701,13 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let reread = SummaryStore::open(dir.path()).expect("reopen");
-        assert_eq!(reread.entries(), 2);
-        assert!(reread.load(&key(1), 7).is_some());
-        assert!(
-            reread.load(&key(2), 7).is_none(),
-            "corrupt record must miss"
-        );
-        assert!(
-            reread.load(&key(3), 7).is_some(),
+        assert_eq!(reread.inner.lock().unwrap().index[R::KIND].len(), 2);
+        let load = |n: u64| reread.load_record::<R>(raw(n), 7).map(|r| r.encode());
+        assert_eq!(load(1), Some(make(1).encode()));
+        assert!(load(2).is_none(), "corrupt record must miss");
+        assert_eq!(
+            load(3),
+            Some(make(3).encode()),
             "record after the corrupt one survives"
         );
         let diags = reread.diagnostics();
@@ -760,10 +715,15 @@ mod tests {
             diags.iter().any(|d| d.contains("corrupt record")),
             "expected a skip diagnostic, got {diags:?}"
         );
+        // A record under the right key but another profile's fingerprint is
+        // a miss with a diagnostic, never a wrong hit.
+        assert!(reread.load_record::<R>(raw(1), 8).is_none());
+        let diags = reread.diagnostics();
+        assert!(diags.iter().any(|d| d.contains("fingerprint")), "{diags:?}");
         // The miss is recoverable: recomputation re-persists under a fresh log
         // position (the corrupt record stays dead weight, never served).
-        assert!(reread.store(&key(2), 7, &sample_result(200, false)));
-        assert_eq!(reread.load(&key(2), 7).unwrap().stats.work, 200);
+        assert!(reread.store_record(raw(2), 7, &make(2)));
+        assert_eq!(load(2), Some(make(2).encode()));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! edit), replaying the cached records of everything outside it — with the
 //! reported `work` and the rendered summaries byte-identical to a cold run.
 
-use hiptnt::infer::AnalysisSession;
+use hiptnt::infer::{AnalysisSession, CacheTier};
 use hiptnt::InferOptions;
 
 /// A leaf method plus a root that calls it, both directly recursive (no
@@ -51,7 +51,7 @@ fn editing_the_root_reuses_the_leaf_method_summary() {
     let warm_entry = &warm_batch[0];
 
     assert!(
-        !warm_entry.cache_hit,
+        warm_entry.tier.is_none(),
         "an edited program is a program-tier miss"
     );
     assert!(
@@ -94,7 +94,7 @@ fn editing_the_leaf_invalidates_both_method_summaries() {
     let warm_batch = warm.analyze_batch_with(&[leaf_edited.as_str()], 1);
     let warm_entry = &warm_batch[0];
 
-    assert!(!warm_entry.cache_hit);
+    assert!(warm_entry.tier.is_none());
     assert_eq!(
         warm_entry.method_hits, 0,
         "a leaf edit dirties every cone above it — nothing may be replayed"
@@ -115,6 +115,6 @@ fn identical_resubmission_stays_a_program_tier_hit() {
     let session = AnalysisSession::new(InferOptions::default());
     session.analyze_batch_with(&[source.as_str()], 1);
     let again = session.analyze_batch_with(&[source.as_str()], 1);
-    assert!(again[0].cache_hit);
+    assert_eq!(again[0].tier, Some(CacheTier::Memory));
     assert_eq!(again[0].method_hits, 0);
 }

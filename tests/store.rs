@@ -148,48 +148,105 @@ fn summaries_are_byte_identical_across_cold_warm_and_store_restart() {
     }
 }
 
+/// A leaf plus a root calling it; `root_bound` edits only the root.
+fn leaf_root(root_bound: i64) -> String {
+    format!(
+        "void leaf(int x) {{ if (x > 0) {{ leaf(x - 1); }} else {{ return; }} }}\n\
+         void root(int x, int y) {{ leaf(x); if (y > {root_bound}) {{ root(x, y - 1); }} else {{ return; }} }}"
+    )
+}
+
+/// Flips one encoded-payload byte in every frame with the given magic, so
+/// each fails its checksum; returns how many frames it touched.
+fn corrupt_frames(path: &Path, magic: &[u8; 2]) -> usize {
+    let mut bytes = std::fs::read(path).expect("store file");
+    let (mut pos, mut touched) = (hiptnt::store::HEADER.len(), 0);
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos + 2..pos + 6].try_into().unwrap()) as usize;
+        if &bytes[pos..pos + 2] == magic {
+            // Past the payload's 24-byte key + fingerprint prefix.
+            bytes[pos + 6 + 24 + (len - 24) / 2] ^= 0x55;
+            touched += 1;
+        }
+        pos += 6 + len + 8;
+    }
+    std::fs::write(path, &bytes).expect("rewrite");
+    touched
+}
+
+/// A corrupt record of either kind is a miss, never a wrong summary: the
+/// restarted session recomputes what the record would have served and
+/// renders it byte-identically to a cold analysis. The `TR` case probes the
+/// stored program itself; the `MR` case probes a root-edited program, which
+/// misses the program tier and would otherwise replay the unedited leaf's
+/// method record.
 #[test]
 fn corrupted_store_record_degrades_to_recomputation_not_wrong_summary() {
-    let dir = TempDir::new();
-    let source = "void main(int x) { while (x > 0) { x = x - 2; } }";
+    let countdown = "void main(int x) { while (x > 0) { x = x - 2; } }".to_string();
+    let cases = [
+        (b"TR", countdown.clone(), countdown),
+        (b"MR", leaf_root(0), leaf_root(7)),
+    ];
     let options = InferOptions::default();
+    for (magic, written, probed) in cases {
+        let kind = String::from_utf8_lossy(magic);
+        let dir = TempDir::new();
+        let writer = AnalysisSession::new(options)
+            .with_store(Arc::new(SummaryStore::open(dir.path()).expect("open")));
+        writer.analyze_source(&written).expect("cold analysis");
+        assert_eq!(writer.stats().store_writes, 1, "{kind}");
+        drop(writer);
 
+        let path = dir.path().join(hiptnt::store::STORE_FILE);
+        assert!(corrupt_frames(&path, magic) > 0, "{kind}");
+
+        let store = Arc::new(SummaryStore::open(dir.path()).expect("reopen"));
+        let indexed = match magic {
+            b"TR" => store.entries(),
+            _ => store.method_entries(),
+        };
+        assert_eq!(indexed, 0, "{kind}: corrupt records must not be indexed");
+        assert!(
+            store.diagnostics().iter().any(|d| d.contains("corrupt")),
+            "{kind}: corruption is reported, not silent"
+        );
+        let entries_before = store.entries();
+        let restarted = AnalysisSession::new(options).with_store(store.clone());
+        let recomputed = restarted.analyze_source(&probed).expect("recomputation");
+        let stats = restarted.stats();
+        assert_eq!(
+            (stats.store_hits, stats.cache_misses),
+            (0, 1),
+            "{kind}: the corrupt record is a miss, served by recomputing"
+        );
+        if magic == b"MR" {
+            assert_eq!(stats.method_hits, 0, "{kind}: no corrupt record replays");
+        }
+        // The recomputed result is the correct one, byte for byte.
+        let reference = analyze_source(&probed, &options).expect("cold reference");
+        assert_eq!(rendered(&recomputed), rendered(&reference), "{kind}");
+        // And the recomputation was written behind again, healing the store.
+        assert_eq!(stats.store_writes, 1, "{kind}");
+        assert_eq!(store.entries(), entries_before + 1, "{kind}");
+    }
+}
+
+/// The control for the method-tier corruption cases: undamaged, the same
+/// restart does replay the leaf's method record.
+#[test]
+fn restarted_session_replays_method_records_from_the_store() {
+    let dir = TempDir::new();
+    let options = InferOptions::default();
     let writer = AnalysisSession::new(options)
         .with_store(Arc::new(SummaryStore::open(dir.path()).expect("open")));
-    let reference = writer.analyze_source(source).expect("cold analysis");
-    assert_eq!(writer.stats().store_writes, 1);
+    writer.analyze_source(&leaf_root(0)).expect("cold analysis");
     drop(writer);
-
-    // Corrupt one byte inside the record's payload (header is 8 bytes, frame
-    // prefix 6 more; offset 40 lands well inside the encoded result).
-    let path = dir.path().join(hiptnt::store::STORE_FILE);
-    let mut bytes = std::fs::read(&path).expect("store file");
-    bytes[40] ^= 0x55;
-    std::fs::write(&path, &bytes).expect("rewrite");
-
-    let store = Arc::new(SummaryStore::open(dir.path()).expect("reopen"));
-    assert_eq!(store.entries(), 0, "the corrupt record must not be indexed");
-    assert!(
-        store.diagnostics().iter().any(|d| d.contains("corrupt")),
-        "corruption is reported, not silent"
-    );
-    let restarted = AnalysisSession::new(options).with_store(store.clone());
-    let recomputed = restarted.analyze_source(source).expect("recomputation");
-    let stats = restarted.stats();
-    assert_eq!(
-        (stats.store_hits, stats.cache_misses),
-        (0, 1),
-        "the corrupt record is a miss, served by recomputing"
-    );
-    // The recomputed result is the correct one, byte for byte.
-    assert_eq!(recomputed.program_verdict(), reference.program_verdict());
-    assert_eq!(recomputed.stats.work, reference.stats.work);
-    for (label, summary) in &reference.summaries {
-        assert_eq!(summary.render(), recomputed.summaries[label].render());
-    }
-    // And the recomputation was written behind again, healing the store.
-    assert_eq!(stats.store_writes, 1);
-    assert_eq!(store.entries(), 1);
+    let restarted = AnalysisSession::new(options)
+        .with_store(Arc::new(SummaryStore::open(dir.path()).expect("reopen")));
+    let served = restarted.analyze_source(&leaf_root(7)).expect("analysis");
+    assert!(restarted.stats().method_hits >= 1);
+    let reference = analyze_source(&leaf_root(7), &options).expect("cold reference");
+    assert_eq!(rendered(&served), rendered(&reference));
 }
 
 #[test]

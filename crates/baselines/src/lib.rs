@@ -19,49 +19,28 @@
 //!   interface for the benchmark harness.
 //!
 //! Every analyzer is deterministic: "timeouts" are exhausted work budgets (counted in
-//! solver attempts), not wall-clock races.
+//! solver attempts), not wall-clock races. Every answer is a [`tnt_infer::Outcome`];
+//! HIPTNT+ answers [`AnalysisResult::outcome`], each other profile applies its own
+//! rule to the same result.
 //!
-//! Each profile owns an [`AnalysisSession`] built for its own [`InferOptions`], so
-//! every profile gets the session pipeline's summary cache, method tier and panic
-//! isolation, and repeated programs are served from that profile's cache.
+//! Each profile owns an [`AnalysisSession`] built for its own [`InferOptions`] and
+//! answers a whole batch of programs through it, so every profile gets the session
+//! pipeline's summary cache, method tier and panic isolation, and repeated programs
+//! are served from that profile's cache.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-use tnt_infer::{AnalysisSession, InferOptions, Verdict};
-
-/// The answer of a tool on one benchmark program (the columns of Fig. 10/11).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Answer {
-    /// Termination proven ("Y").
-    Yes,
-    /// Non-termination proven ("N").
-    No,
-    /// The tool gave up ("U").
-    Unknown,
-    /// The tool exhausted its budget ("T/O").
-    Timeout,
-}
-
-impl fmt::Display for Answer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Answer::Yes => write!(f, "Y"),
-            Answer::No => write!(f, "N"),
-            Answer::Unknown => write!(f, "U"),
-            Answer::Timeout => write!(f, "T/O"),
-        }
-    }
-}
+use tnt_infer::{AnalysisResult, AnalysisSession, InferOptions, Outcome, Verdict};
+use tnt_verify::callgraph::CallGraph;
 
 /// The outcome of running a tool on one program.
 #[derive(Clone, Copy, Debug)]
 pub struct ToolRun {
-    /// The answer.
-    pub answer: Answer,
+    /// The answer (one column of Fig. 10/11).
+    pub answer: Outcome,
     /// Wall-clock seconds spent.
     pub elapsed: f64,
 }
@@ -71,8 +50,9 @@ pub trait Analyzer {
     /// The tool's display name.
     fn name(&self) -> &'static str;
 
-    /// Analyses one program (source text in the core language).
-    fn run(&self, source: &str) -> ToolRun;
+    /// Analyses a batch of programs (source texts in the core language),
+    /// returning one run per source, in input order.
+    fn run(&self, sources: &[&str]) -> Vec<ToolRun>;
 
     /// The profile's own analysis session (for its reuse/spending counters).
     fn session(&self) -> &AnalysisSession;
@@ -92,31 +72,53 @@ fn no_case_split() -> InferOptions {
     }
 }
 
-fn verdict_to_answer(verdict: Verdict) -> Answer {
-    match verdict {
-        Verdict::Terminating => Answer::Yes,
-        Verdict::NonTerminating => Answer::No,
-        Verdict::Unknown => Answer::Unknown,
+/// Runs `sources` as one batch on `session`, answering each analysed program
+/// with the profile's rule `score`; a front-end or analysis error answers `U`.
+fn run_batch(
+    session: &AnalysisSession,
+    sources: &[&str],
+    score: impl Fn(&AnalysisResult) -> Outcome,
+) -> Vec<ToolRun> {
+    session
+        .analyze_batch(sources)
+        .into_iter()
+        .map(|entry| ToolRun {
+            answer: entry.result.as_ref().map_or(Outcome::Unknown, &score),
+            elapsed: entry.elapsed,
+        })
+        .collect()
+}
+
+/// A profile's answer when its own attempt count exceeds its budget: an
+/// inconclusive verdict is then reported as `T/O`.
+fn over_budget(verdict: Verdict, work: usize, budget: usize) -> Outcome {
+    if verdict == Verdict::Unknown && work > budget {
+        Outcome::Timeout
+    } else {
+        verdict.into()
     }
 }
 
 /// The full HIPTNT+ reproduction, wrapped for the harness.
 #[derive(Clone, Debug)]
 pub struct HipTntPlus {
+    name: &'static str,
     session: Arc<AnalysisSession>,
 }
 
 impl Default for HipTntPlus {
     /// The paper's configuration.
     fn default() -> Self {
-        HipTntPlus::with_options(InferOptions::default())
+        HipTntPlus::with_options("HIPTNT+", InferOptions::default())
     }
 }
 
 impl HipTntPlus {
-    /// A profile with explicit inference options (e.g. an ablation switch).
-    pub fn with_options(options: InferOptions) -> HipTntPlus {
+    /// A profile with explicit inference options (e.g. an ablation switch),
+    /// shown under `name` in the tables.
+    pub fn with_options(name: &'static str, options: InferOptions) -> HipTntPlus {
         HipTntPlus {
+            name,
             session: session_for(options),
         }
     }
@@ -124,24 +126,11 @@ impl HipTntPlus {
 
 impl Analyzer for HipTntPlus {
     fn name(&self) -> &'static str {
-        "HIPTNT+"
+        self.name
     }
 
-    fn run(&self, source: &str) -> ToolRun {
-        let start = Instant::now();
-        let answer = match self.session.analyze_source(source) {
-            Ok(result) => match result.program_verdict() {
-                // An inconclusive verdict caused by budget exhaustion is the
-                // deterministic analogue of the paper's T/O outcome.
-                Verdict::Unknown if result.stats.budget_exhausted => Answer::Timeout,
-                verdict => verdict_to_answer(verdict),
-            },
-            Err(_) => Answer::Unknown,
-        };
-        ToolRun {
-            answer,
-            elapsed: start.elapsed().as_secs_f64(),
-        }
+    fn run(&self, sources: &[&str]) -> Vec<ToolRun> {
+        run_batch(&self.session, sources, AnalysisResult::outcome)
     }
 
     fn session(&self) -> &AnalysisSession {
@@ -176,31 +165,19 @@ impl Analyzer for TermOnly {
         "AProVE-profile"
     }
 
-    fn run(&self, source: &str) -> ToolRun {
-        let start = Instant::now();
-        let answer = match self.session.analyze_source(source) {
-            Ok(result) => {
-                let work = result.stats.ranking_attempts
-                    + result.stats.nonterm_attempts
-                    + result.stats.case_splits;
-                match result.program_verdict() {
-                    Verdict::Terminating => Answer::Yes,
-                    // A termination prover reports failed proofs, not non-termination.
-                    Verdict::NonTerminating | Verdict::Unknown => {
-                        if work > self.budget {
-                            Answer::Timeout
-                        } else {
-                            Answer::Unknown
-                        }
-                    }
+    fn run(&self, sources: &[&str]) -> Vec<ToolRun> {
+        run_batch(&self.session, sources, |result| {
+            let work = result.stats.ranking_attempts
+                + result.stats.nonterm_attempts
+                + result.stats.case_splits;
+            match result.program_verdict() {
+                Verdict::Terminating => Outcome::Yes,
+                // A termination prover reports failed proofs, not non-termination.
+                Verdict::NonTerminating | Verdict::Unknown => {
+                    over_budget(Verdict::Unknown, work, self.budget)
                 }
             }
-            Err(_) => Answer::Unknown,
-        };
-        ToolRun {
-            answer,
-            elapsed: start.elapsed().as_secs_f64(),
-        }
+        })
     }
 
     fn session(&self) -> &AnalysisSession {
@@ -231,56 +208,56 @@ impl Default for Alternation {
     }
 }
 
+impl Alternation {
+    /// Analyses one program with its heap specifications stripped.
+    fn answer(&self, source: &str) -> Outcome {
+        let Ok(mut program) = tnt_lang::frontend(source) else {
+            return Outcome::Unknown;
+        };
+        // No separation-logic back-end: heap specifications are dropped, so
+        // heap-dependent scenarios degrade to unknown.
+        let uses_heap = !program.preds.is_empty();
+        program.preds.clear();
+        program.lemmas.clear();
+        for method in &mut program.methods {
+            if let Some(spec) = &method.spec {
+                if spec.mentions_heap() {
+                    method.spec = None;
+                }
+            }
+        }
+        let heap_work = if uses_heap { self.budget } else { 0 };
+        // The cache key is built from the stripped program this profile
+        // actually analyses.
+        match self.session.analyze_parsed(program) {
+            Ok(result) => over_budget(
+                result.program_verdict(),
+                result.stats.ranking_attempts + result.stats.nonterm_attempts + heap_work,
+                self.budget,
+            ),
+            Err(_) if uses_heap => Outcome::Timeout,
+            Err(_) => Outcome::Unknown,
+        }
+    }
+}
+
 impl Analyzer for Alternation {
     fn name(&self) -> &'static str {
         "ULTIMATE-profile"
     }
 
-    fn run(&self, source: &str) -> ToolRun {
-        let start = Instant::now();
-        let answer = match tnt_lang::frontend(source) {
-            Err(_) => Answer::Unknown,
-            Ok(mut program) => {
-                // No separation-logic back-end: heap specifications are dropped, so
-                // heap-dependent scenarios degrade to unknown.
-                let uses_heap = !program.preds.is_empty();
-                program.preds.clear();
-                program.lemmas.clear();
-                for method in &mut program.methods {
-                    if let Some(spec) = &method.spec {
-                        if spec.mentions_heap() {
-                            method.spec = None;
-                        }
-                    }
+    fn run(&self, sources: &[&str]) -> Vec<ToolRun> {
+        sources
+            .iter()
+            .map(|source| {
+                let start = Instant::now();
+                let answer = self.answer(source);
+                ToolRun {
+                    answer,
+                    elapsed: start.elapsed().as_secs_f64(),
                 }
-                // The cache key is built from the stripped program this profile
-                // actually analyses.
-                match self.session.analyze_parsed(program) {
-                    Ok(result) => {
-                        let work = result.stats.ranking_attempts
-                            + result.stats.nonterm_attempts
-                            + if uses_heap { self.budget } else { 0 };
-                        let verdict = result.program_verdict();
-                        if verdict == Verdict::Unknown && work > self.budget {
-                            Answer::Timeout
-                        } else {
-                            verdict_to_answer(verdict)
-                        }
-                    }
-                    Err(_) => {
-                        if uses_heap {
-                            Answer::Timeout
-                        } else {
-                            Answer::Unknown
-                        }
-                    }
-                }
-            }
-        };
-        ToolRun {
-            answer,
-            elapsed: start.elapsed().as_secs_f64(),
-        }
+            })
+            .collect()
     }
 
     fn session(&self) -> &AnalysisSession {
@@ -306,48 +283,51 @@ impl Default for IntegerLoopOnly {
     }
 }
 
+/// Whether the T2 profile's front end can translate `source`: it parses, and
+/// uses neither the heap nor recursion of any cycle length.
+fn integer_loops_only(source: &str) -> bool {
+    let Ok(raw) = tnt_lang::parse_program(source) else {
+        return false;
+    };
+    let graph = CallGraph::build(&raw);
+    raw.datas.is_empty()
+        && raw.preds.is_empty()
+        && !raw.methods.iter().any(|m| graph.is_recursive(m.name))
+}
+
 impl Analyzer for IntegerLoopOnly {
     fn name(&self) -> &'static str {
         "T2-profile"
     }
 
-    fn run(&self, source: &str) -> ToolRun {
-        let start = Instant::now();
-        let answer = match tnt_lang::parse_program(source) {
-            Err(_) => Answer::Unknown,
-            Ok(raw) => {
-                let has_heap = !raw.datas.is_empty() || !raw.preds.is_empty();
-                let has_recursion = raw.methods.iter().any(|m| {
-                    raw.callees(m).iter().any(|callee| {
-                        callee == &m.name
-                            || raw
-                                .method(callee)
-                                .is_some_and(|c| raw.callees(c).contains(&m.name))
-                    })
-                });
-                if has_heap || has_recursion {
-                    Answer::Unknown
+    fn run(&self, sources: &[&str]) -> Vec<ToolRun> {
+        let translatable: Vec<bool> = sources.iter().map(|s| integer_loops_only(s)).collect();
+        let accepted: Vec<&str> = sources
+            .iter()
+            .zip(&translatable)
+            .filter_map(|(source, &ok)| ok.then_some(*source))
+            .collect();
+        let mut analysed = run_batch(&self.session, &accepted, |result| {
+            over_budget(
+                result.program_verdict(),
+                result.stats.ranking_attempts + result.stats.nonterm_attempts,
+                self.budget,
+            )
+        })
+        .into_iter();
+        translatable
+            .into_iter()
+            .map(|ok| {
+                if ok {
+                    analysed.next().expect("one run per accepted program")
                 } else {
-                    match self.session.analyze_source(source) {
-                        Err(_) => Answer::Unknown,
-                        Ok(result) => {
-                            let work =
-                                result.stats.ranking_attempts + result.stats.nonterm_attempts;
-                            let verdict = result.program_verdict();
-                            if verdict == Verdict::Unknown && work > self.budget {
-                                Answer::Timeout
-                            } else {
-                                verdict_to_answer(verdict)
-                            }
-                        }
+                    ToolRun {
+                        answer: Outcome::Unknown,
+                        elapsed: 0.0,
                     }
                 }
-            }
-        };
-        ToolRun {
-            answer,
-            elapsed: start.elapsed().as_secs_f64(),
-        }
+            })
+            .collect()
     }
 
     fn session(&self) -> &AnalysisSession {
@@ -364,32 +344,41 @@ mod tests {
     const CONDITIONAL: &str =
         "void foo(int x, int y) { if (x < 0) { return; } else { foo(x + y, y); } }\n\
          void main(int x, int y) { foo(x, y); }";
+    /// A terminating three-method recursion cycle `a -> b -> c -> a`.
+    const THREE_CYCLE: &str = "void a(int n) { if (n <= 0) { return; } else { b(n - 1); } }\n\
+         void b(int n) { c(n); }\n\
+         void c(int n) { a(n); }\n\
+         void main(int n) { a(n); }";
     const RECURSIVE: &str = "void down(int n) { if (n <= 0) { return; } else { down(n - 1); } }\n\
          void main(int n) { down(n); }";
+
+    fn answer(tool: &dyn Analyzer, source: &str) -> Outcome {
+        tool.run(&[source])[0].answer
+    }
 
     #[test]
     fn full_tool_answers_yes_no_and_never_times_out() {
         let tool = HipTntPlus::default();
-        assert_eq!(tool.run(TERMINATING).answer, Answer::Yes);
-        assert_eq!(tool.run(DIVERGING).answer, Answer::No);
-        assert_eq!(tool.run(CONDITIONAL).answer, Answer::No);
+        assert_eq!(answer(&tool, TERMINATING), Outcome::Yes);
+        assert_eq!(answer(&tool, DIVERGING), Outcome::No);
+        assert_eq!(answer(&tool, CONDITIONAL), Outcome::No);
     }
 
     #[test]
     fn term_only_never_answers_no() {
         let tool = TermOnly::default();
-        assert_eq!(tool.run(TERMINATING).answer, Answer::Yes);
-        let diverging = tool.run(DIVERGING).answer;
-        assert_ne!(diverging, Answer::No);
-        let conditional = tool.run(CONDITIONAL).answer;
-        assert_ne!(conditional, Answer::No);
+        assert_eq!(answer(&tool, TERMINATING), Outcome::Yes);
+        let diverging = answer(&tool, DIVERGING);
+        assert_ne!(diverging, Outcome::No);
+        let conditional = answer(&tool, CONDITIONAL);
+        assert_ne!(conditional, Outcome::No);
     }
 
     #[test]
     fn alternation_proves_simple_cases_but_not_heap_nontermination() {
         let tool = Alternation::default();
-        assert_eq!(tool.run(TERMINATING).answer, Answer::Yes);
-        assert_eq!(tool.run(DIVERGING).answer, Answer::No);
+        assert_eq!(answer(&tool, TERMINATING), Outcome::Yes);
+        assert_eq!(answer(&tool, DIVERGING), Outcome::No);
         // Without the separation-logic back-end the circular-list example cannot be
         // proven non-terminating.
         let circular = "\
@@ -403,22 +392,38 @@ void append(node x, node y)
 void main(node x, node y)
   requires cll(x, n) ensures true;
 { append(x, y); }";
-        let answer = tool.run(circular).answer;
+        let stripped = answer(&tool, circular);
         assert!(
-            matches!(answer, Answer::Unknown | Answer::Timeout),
-            "stripped heap specs must not yield a definite answer, got {answer}"
+            matches!(stripped, Outcome::Unknown | Outcome::Timeout),
+            "stripped heap specs must not yield a definite answer, got {stripped}"
         );
         let full = HipTntPlus::default();
-        assert_eq!(full.run(circular).answer, Answer::No);
+        assert_eq!(answer(&full, circular), Outcome::No);
     }
 
     #[test]
     fn t2_profile_rejects_recursion_and_heap() {
         let tool = IntegerLoopOnly::default();
-        assert_eq!(tool.run(TERMINATING).answer, Answer::Yes);
-        assert_eq!(tool.run(RECURSIVE).answer, Answer::Unknown);
+        assert_eq!(answer(&tool, TERMINATING), Outcome::Yes);
+        assert_eq!(answer(&tool, RECURSIVE), Outcome::Unknown);
         let heap = "data node { node next; } void main(node x) { return; }";
-        assert_eq!(tool.run(heap).answer, Answer::Unknown);
+        assert_eq!(answer(&tool, heap), Outcome::Unknown);
+        assert_eq!(answer(&tool, THREE_CYCLE), Outcome::Unknown);
+    }
+
+    /// One batch answers like one program at a time, in input order.
+    #[test]
+    fn batch_answers_match_single_runs() {
+        let programs = [TERMINATING, RECURSIVE, DIVERGING, TERMINATING];
+        let profiles: Vec<Box<dyn Analyzer>> = vec![
+            Box::new(HipTntPlus::default()),
+            Box::new(IntegerLoopOnly::default()),
+        ];
+        for profile in &profiles {
+            let batch: Vec<Outcome> = profile.run(&programs).iter().map(|r| r.answer).collect();
+            let single: Vec<Outcome> = programs.iter().map(|p| answer(&**profile, p)).collect();
+            assert_eq!(batch, single, "{}", profile.name());
+        }
     }
 
     /// Each profile's own session serves repeat runs from its cache without
@@ -434,9 +439,9 @@ void main(node x, node y)
         ];
         for profile in &profiles {
             let name = profile.name();
-            let cold: Vec<Answer> = programs.iter().map(|p| profile.run(p).answer).collect();
+            let cold: Vec<Outcome> = programs.iter().map(|p| answer(&**profile, p)).collect();
             let misses = profile.session().stats().cache_misses;
-            let warm: Vec<Answer> = programs.iter().map(|p| profile.run(p).answer).collect();
+            let warm: Vec<Outcome> = programs.iter().map(|p| answer(&**profile, p)).collect();
             assert_eq!(cold, warm, "{name}");
             let stats = profile.session().stats();
             assert_eq!(stats.cache_misses, misses, "{name}: warm pass recomputed");
@@ -446,9 +451,9 @@ void main(node x, node y)
 
     #[test]
     fn answers_render_like_the_paper_columns() {
-        assert_eq!(Answer::Yes.to_string(), "Y");
-        assert_eq!(Answer::No.to_string(), "N");
-        assert_eq!(Answer::Unknown.to_string(), "U");
-        assert_eq!(Answer::Timeout.to_string(), "T/O");
+        assert_eq!(Outcome::Yes.to_string(), "Y");
+        assert_eq!(Outcome::No.to_string(), "N");
+        assert_eq!(Outcome::Unknown.to_string(), "U");
+        assert_eq!(Outcome::Timeout.to_string(), "T/O");
     }
 }

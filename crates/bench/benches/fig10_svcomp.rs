@@ -13,7 +13,7 @@ fn fig10(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(suite.category.name(), &program.name),
                 &program.source,
-                |b, source| b.iter(|| tool.run(source)),
+                |b, source| b.iter(|| tool.run(&[source])),
             );
         }
     }

@@ -14,12 +14,12 @@ fn fig11(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("HIPTNT+", &program.name),
             &program.source,
-            |b, source| b.iter(|| hiptnt.run(source)),
+            |b, source| b.iter(|| hiptnt.run(&[source])),
         );
         group.bench_with_input(
             BenchmarkId::new("T2-profile", &program.name),
             &program.source,
-            |b, source| b.iter(|| t2.run(source)),
+            |b, source| b.iter(|| t2.run(&[source])),
         );
     }
     group.finish();

@@ -8,66 +8,27 @@
 
 use tnt_baselines::{Analyzer, HipTntPlus};
 use tnt_bench::Table;
-use tnt_infer::{AnalysisSession, InferOptions};
+use tnt_infer::InferOptions;
 
 fn main() {
     let suites = vec![tnt_suite::crafted(), tnt_suite::crafted_lit()];
     // One session per option profile: each profile reuses summaries across
     // the template-duplicated corpora under its own options.
-    let profile = HipTntPlus::with_options;
-    let full = profile(InferOptions::default());
-    let no_split = profile(InferOptions {
-        enable_case_split: false,
-        ..InferOptions::default()
-    });
-    let no_base = profile(InferOptions {
-        enable_base_case: false,
-        ..InferOptions::default()
-    });
-    let no_lex = profile(InferOptions {
-        lexicographic: false,
-        ..InferOptions::default()
-    });
-    let no_multiphase = profile(InferOptions {
-        multiphase: false,
-        ..InferOptions::default()
-    });
-    let no_recurrent = profile(InferOptions {
-        recurrent: false,
-        ..InferOptions::default()
-    });
-    let no_orbit = profile(InferOptions {
-        orbit_enrichment: false,
-        ..InferOptions::default()
-    });
-    struct Named<'a>(&'static str, &'a HipTntPlus);
-    impl Analyzer for Named<'_> {
-        fn name(&self) -> &'static str {
-            self.0
-        }
-        fn run(&self, source: &str) -> tnt_baselines::ToolRun {
-            self.1.run(source)
-        }
-        fn session(&self) -> &AnalysisSession {
-            self.1.session()
-        }
-    }
-    let full = Named("full", &full);
-    let no_split = Named("no case-split", &no_split);
-    let no_base = Named("no base-case", &no_base);
-    let no_lex = Named("no lexicographic", &no_lex);
-    let no_multiphase = Named("no multiphase/max", &no_multiphase);
-    let no_recurrent = Named("no recurrent-set", &no_recurrent);
-    let no_orbit = Named("no orbit-enrichment", &no_orbit);
-    let tools: Vec<&dyn Analyzer> = vec![
-        &full,
-        &no_split,
-        &no_base,
-        &no_lex,
-        &no_multiphase,
-        &no_recurrent,
-        &no_orbit,
+    let profile = |name, switch_off: fn(&mut InferOptions)| {
+        let mut options = InferOptions::default();
+        switch_off(&mut options);
+        HipTntPlus::with_options(name, options)
+    };
+    let profiles = [
+        profile("full", |_| {}),
+        profile("no case-split", |o| o.enable_case_split = false),
+        profile("no base-case", |o| o.enable_base_case = false),
+        profile("no lexicographic", |o| o.lexicographic = false),
+        profile("no multiphase/max", |o| o.multiphase = false),
+        profile("no recurrent-set", |o| o.recurrent = false),
+        profile("no orbit-enrichment", |o| o.orbit_enrichment = false),
     ];
+    let tools: Vec<&dyn Analyzer> = profiles.iter().map(|p| p as &dyn Analyzer).collect();
     let table = Table::build(&tools, &suites);
     if std::env::args().any(|a| a == "--json") {
         println!(

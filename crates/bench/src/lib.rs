@@ -18,7 +18,8 @@
 
 use serde::Serialize;
 use std::fmt::Write as _;
-use tnt_baselines::{Analyzer, Answer};
+use tnt_baselines::Analyzer;
+use tnt_infer::Outcome;
 use tnt_suite::{Expected, Suite};
 
 /// The per-suite outcome counts of one tool (one cell group of Fig. 10/11).
@@ -45,32 +46,28 @@ impl Row {
     }
 
     /// Accumulates one program's outcome.
-    pub fn record(&mut self, answer: Answer, elapsed: f64, expected: Expected) {
+    pub fn record(&mut self, answer: Outcome, elapsed: f64, expected: Expected) {
         match answer {
-            Answer::Yes => self.yes += 1,
-            Answer::No => self.no += 1,
-            Answer::Unknown => self.unknown += 1,
-            Answer::Timeout => self.timeout += 1,
+            Outcome::Yes => self.yes += 1,
+            Outcome::No => self.no += 1,
+            Outcome::Unknown => self.unknown += 1,
+            Outcome::Timeout => self.timeout += 1,
         }
-        if answer != Answer::Timeout {
+        if answer != Outcome::Timeout {
             self.time += elapsed;
         }
-        let unsound = matches!(
-            (answer, expected),
-            (Answer::Yes, Expected::NonTerminating) | (Answer::No, Expected::Terminating)
-        );
-        if unsound {
+        if expected.contradicts(answer) {
             self.unsound += 1;
         }
     }
 }
 
-/// Runs one tool over one suite.
+/// Runs one tool over one suite, as one batch.
 pub fn run_suite(tool: &dyn Analyzer, suite: &Suite) -> Row {
+    let sources: Vec<&str> = suite.programs.iter().map(|p| p.source.as_str()).collect();
     let mut row = Row::default();
-    for program in &suite.programs {
-        let outcome = tool.run(&program.source);
-        row.record(outcome.answer, outcome.elapsed, program.expected);
+    for (run, program) in tool.run(&sources).into_iter().zip(&suite.programs) {
+        row.record(run.answer, run.elapsed, program.expected);
     }
     row
 }
@@ -181,10 +178,10 @@ mod tests {
     #[test]
     fn row_accounting() {
         let mut row = Row::default();
-        row.record(Answer::Yes, 0.5, Expected::Terminating);
-        row.record(Answer::No, 0.25, Expected::NonTerminating);
-        row.record(Answer::Unknown, 0.25, Expected::Terminating);
-        row.record(Answer::Timeout, 100.0, Expected::Terminating);
+        row.record(Outcome::Yes, 0.5, Expected::Terminating);
+        row.record(Outcome::No, 0.25, Expected::NonTerminating);
+        row.record(Outcome::Unknown, 0.25, Expected::Terminating);
+        row.record(Outcome::Timeout, 100.0, Expected::Terminating);
         assert_eq!(row.total(), 4);
         assert_eq!((row.yes, row.no, row.unknown, row.timeout), (1, 1, 1, 1));
         assert!((row.time - 1.0).abs() < 1e-9);
@@ -194,8 +191,8 @@ mod tests {
     #[test]
     fn unsound_answers_are_flagged() {
         let mut row = Row::default();
-        row.record(Answer::Yes, 0.1, Expected::NonTerminating);
-        row.record(Answer::No, 0.1, Expected::Terminating);
+        row.record(Outcome::Yes, 0.1, Expected::NonTerminating);
+        row.record(Outcome::No, 0.1, Expected::Terminating);
         assert_eq!(row.unsound, 2);
     }
 

@@ -2,7 +2,7 @@
 
 use crate::method_cache::{harvest_records, HarvestedRecords, MethodScope, ReplayPlan};
 use crate::solve::{solve_with_scope, validate_with_budget, SolveOptions, SolveStats};
-use crate::summary::{summaries, MethodSummary, Verdict};
+use crate::summary::{summaries, MethodSummary, Outcome, Verdict};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
@@ -149,19 +149,35 @@ impl AnalysisResult {
         })
     }
 
+    /// The program's entry method: `main` if it was analysed, otherwise the
+    /// first analysed method; `None` when nothing was analysed.
+    fn entry_method(&self) -> Option<&str> {
+        if self.summaries.values().any(|s| s.method == "main") {
+            Some("main")
+        } else {
+            self.summaries.values().next().map(|s| s.method.as_str())
+        }
+    }
+
     /// The verdict for the program's entry point (`main` if present, otherwise the
     /// first analysed method), which is how the benchmark harness scores a program.
     pub fn program_verdict(&self) -> Verdict {
-        let entry = if self.summaries.values().any(|s| s.method == "main") {
-            "main".to_string()
-        } else {
-            match self.summaries.values().next() {
-                Some(first) => first.method.clone(),
-                None => return Verdict::Terminating, // no unknown scenarios at all
-            }
-        };
-        self.verdict(&entry)
-            .expect("entry method taken from the summary table")
+        match self.entry_method() {
+            Some(entry) => self
+                .verdict(entry)
+                .expect("entry method taken from the summary table"),
+            None => Verdict::Terminating, // no unknown scenarios at all
+        }
+    }
+
+    /// The scored answer on this program: the [`Self::program_verdict`], with
+    /// an inconclusive verdict caused by budget exhaustion reported as
+    /// [`Outcome::Timeout`], the deterministic analogue of the paper's T/O.
+    pub fn outcome(&self) -> Outcome {
+        match self.program_verdict() {
+            Verdict::Unknown if self.stats.budget_exhausted => Outcome::Timeout,
+            verdict => verdict.into(),
+        }
     }
 
     /// The inferred precondition of the program's entry point (same entry choice
@@ -169,11 +185,7 @@ impl AnalysisResult {
     /// carries one. `None` when the entry's behaviour is definite on every input
     /// or nothing definite is known.
     pub fn program_precondition(&self) -> Option<&crate::summary::Precondition> {
-        let entry = if self.summaries.values().any(|s| s.method == "main") {
-            "main"
-        } else {
-            self.summaries.values().next()?.method.as_str()
-        };
+        let entry = self.entry_method()?;
         self.summaries
             .values()
             .filter(|s| s.method == entry)
@@ -337,6 +349,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.program_verdict(), Verdict::Unknown);
+        assert_eq!(result.outcome(), Outcome::Unknown);
+    }
+
+    #[test]
+    fn outcome_scores_only_budget_exhaustion_as_timeout() {
+        let source = "void main(int x) { while (x > 0) { x = x - 1; } }";
+        let full = analyze_source(source, &InferOptions::default()).unwrap();
+        assert_eq!(full.outcome(), Outcome::Yes);
+        let starved = InferOptions {
+            work_budget: 1,
+            ..InferOptions::default()
+        };
+        let result = analyze_source(source, &starved).unwrap();
+        assert!(result.stats.budget_exhausted);
+        assert_eq!(result.program_verdict(), Verdict::Unknown);
+        assert_eq!(result.outcome(), Outcome::Timeout);
+        assert_eq!(Outcome::Timeout.to_string(), "T/O");
     }
 
     #[test]

@@ -75,6 +75,6 @@ pub use session::{
     AnalysisSession, BatchEntry, CacheTier, ProgramKey, SessionStats, SummaryBackend,
 };
 pub use summary::{
-    CaseStatus, MethodSummary, Precondition, PreconditionKind, SummaryCase, Verdict,
+    CaseStatus, MethodSummary, Outcome, Precondition, PreconditionKind, SummaryCase, Verdict,
 };
 pub use theta::Theta;

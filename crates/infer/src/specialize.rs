@@ -273,7 +273,7 @@ impl ReachGraph {
             }
         }
         let node_list: Vec<String> = nodes.into_iter().collect();
-        let sccs = tarjan(&node_list, &successors);
+        let sccs = tnt_verify::callgraph::tarjan(&node_list, &successors);
         ReachGraph { edges, sccs }
     }
 
@@ -311,71 +311,6 @@ impl ReachGraph {
             e.src == node && matches!(&e.target, EdgeTarget::Unknown { pre, .. } if pre == node)
         })
     }
-}
-
-fn tarjan(nodes: &[String], successors: &BTreeMap<String, BTreeSet<String>>) -> Vec<Vec<String>> {
-    struct State<'a> {
-        successors: &'a BTreeMap<String, BTreeSet<String>>,
-        index: usize,
-        indices: BTreeMap<String, usize>,
-        lowlink: BTreeMap<String, usize>,
-        on_stack: BTreeSet<String>,
-        stack: Vec<String>,
-        sccs: Vec<Vec<String>>,
-    }
-
-    fn connect(v: &str, st: &mut State<'_>) {
-        st.indices.insert(v.to_string(), st.index);
-        st.lowlink.insert(v.to_string(), st.index);
-        st.index += 1;
-        st.stack.push(v.to_string());
-        st.on_stack.insert(v.to_string());
-        let succ: Vec<String> = st
-            .successors
-            .get(v)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        for w in succ {
-            if !st.indices.contains_key(&w) {
-                connect(&w, st);
-                let low = st.lowlink[&w].min(st.lowlink[v]);
-                st.lowlink.insert(v.to_string(), low);
-            } else if st.on_stack.contains(&w) {
-                let low = st.indices[&w].min(st.lowlink[v]);
-                st.lowlink.insert(v.to_string(), low);
-            }
-        }
-        if st.lowlink[v] == st.indices[v] {
-            let mut scc = Vec::new();
-            loop {
-                let w = st.stack.pop().expect("non-empty");
-                st.on_stack.remove(&w);
-                let done = w == v;
-                scc.push(w);
-                if done {
-                    break;
-                }
-            }
-            scc.sort();
-            st.sccs.push(scc);
-        }
-    }
-
-    let mut state = State {
-        successors,
-        index: 0,
-        indices: BTreeMap::new(),
-        lowlink: BTreeMap::new(),
-        on_stack: BTreeSet::new(),
-        stack: Vec::new(),
-        sccs: Vec::new(),
-    };
-    for n in nodes {
-        if !state.indices.contains_key(n) {
-            connect(n, &mut state);
-        }
-    }
-    state.sccs
 }
 
 #[cfg(test)]

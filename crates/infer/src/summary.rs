@@ -105,6 +105,48 @@ impl fmt::Display for Verdict {
     }
 }
 
+/// The scored answer on one program, one cell of the paper's Fig. 10/11: a
+/// [`Verdict`], or `T/O` when the analyzer gave up on its work budget.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// Termination proven ("Y").
+    Yes,
+    /// Non-termination proven ("N").
+    No,
+    /// Inconclusive ("U").
+    Unknown,
+    /// The work budget was exhausted ("T/O").
+    Timeout,
+}
+
+impl From<Verdict> for Outcome {
+    fn from(verdict: Verdict) -> Outcome {
+        match verdict {
+            Verdict::Terminating => Outcome::Yes,
+            Verdict::NonTerminating => Outcome::No,
+            Verdict::Unknown => Outcome::Unknown,
+        }
+    }
+}
+
+impl Outcome {
+    /// The paper's column label: `Y`, `N`, `U` or `T/O`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Outcome::Yes => "Y",
+            Outcome::No => "N",
+            Outcome::Unknown => "U",
+            Outcome::Timeout => "T/O",
+        }
+    }
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// The inferred summary of one method scenario.
 #[derive(Clone, Debug)]
 pub struct MethodSummary {

@@ -41,7 +41,8 @@
 //! Request lines over the size cap ([`DEFAULT_MAX_REQUEST_BYTES`], overridden
 //! with [`Server::with_max_request_bytes`] / `tnt-serve --max-request-bytes`)
 //! are rejected with an error response before being parsed, so their `id` is
-//! `null`.
+//! `null`; [`serve`] buffers at most the cap of any line. A line that is not
+//! valid UTF-8 gets the same kind of `null`-id error response.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,14 +106,7 @@ impl Server {
     /// (without the trailing newline). Never panics on any input.
     pub fn handle_line(&self, line: &str) -> String {
         if line.len() > self.max_request_bytes {
-            return error_response(
-                &Value::Null,
-                &format!(
-                    "request line is {} bytes, over the {}-byte limit",
-                    line.len(),
-                    self.max_request_bytes
-                ),
-            );
+            return self.oversized_response(line.len());
         }
         let request = match serde_json::from_str(line) {
             Ok(v) => v,
@@ -133,20 +127,40 @@ impl Server {
         let entry = entries.pop().expect("one entry per submitted program");
         render_response(&id, &entry)
     }
+
+    /// The error response to a request line of `length` bytes over the cap.
+    fn oversized_response(&self, length: usize) -> String {
+        error_response(
+            &Value::Null,
+            &format!(
+                "request line is {length} bytes, over the {}-byte limit",
+                self.max_request_bytes
+            ),
+        )
+    }
 }
 
 /// Runs the serve loop: one response line per request line, flushed as it
-/// lands so a driving process can pipeline requests interactively. Store
-/// diagnostics (corrupt frames, unreadable records) are drained after every
-/// request and logged to stderr, so corruption surfaces next to the request
-/// that tripped over it rather than only at shutdown.
-pub fn serve(server: &Server, input: impl BufRead, mut output: impl Write) -> io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = server.handle_line(&line);
+/// lands so a driving process can pipeline requests interactively. A line is
+/// buffered only up to the size cap: the rest of an oversized line is read
+/// and discarded chunk by chunk, and the line is answered with an error, as
+/// is a line that is not valid UTF-8. Store diagnostics (corrupt frames,
+/// unreadable records) are drained after every request and logged to stderr,
+/// so corruption surfaces next to the request that tripped over it rather
+/// than only at shutdown.
+pub fn serve(server: &Server, mut input: impl BufRead, mut output: impl Write) -> io::Result<()> {
+    let cap = server.max_request_bytes;
+    let mut line = Vec::new();
+    while let Some(length) = read_line_capped(&mut input, &mut line, cap)? {
+        let response = if length > cap {
+            server.oversized_response(length)
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => server.handle_line(text),
+                Err(_) => error_response(&Value::Null, "request line is not valid UTF-8"),
+            }
+        };
         output.write_all(response.as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;
@@ -157,6 +171,48 @@ pub fn serve(server: &Server, input: impl BufRead, mut output: impl Write) -> io
     Ok(())
 }
 
+/// Reads the next line of `input` into `line` without its `\n` or `\r\n`
+/// ending (as [`BufRead::lines`] strips them), keeping at most `cap + 1`
+/// bytes of it. Returns the line's full length, or `None` at end of input.
+fn read_line_capped(
+    input: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<Option<usize>> {
+    line.clear();
+    let (mut length, mut ended, mut last) = (0, false, None);
+    while !ended {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            Err(err) => return Err(err),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        let (content, consumed) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(newline) => {
+                ended = true;
+                (&chunk[..newline], newline + 1)
+            }
+            None => (chunk, chunk.len()),
+        };
+        let room = cap.saturating_add(1).saturating_sub(line.len());
+        line.extend_from_slice(&content[..content.len().min(room)]);
+        length += content.len();
+        last = content.last().copied().or(last);
+        input.consume(consumed);
+    }
+    if length == 0 && !ended {
+        return Ok(None);
+    }
+    if ended && last == Some(b'\r') {
+        length -= 1;
+        line.truncate(length);
+    }
+    Ok(Some(length))
+}
+
 fn render_response(id: &Value, entry: &BatchEntry) -> String {
     let result = match (&entry.result, &entry.panic_note) {
         (Ok(result), _) => result,
@@ -164,17 +220,11 @@ fn render_response(id: &Value, entry: &BatchEntry) -> String {
         (Err(_), Some(note)) => return error_response(id, note),
         (Err(err), None) => return error_response(id, &err.to_string()),
     };
-    let verdict = match result.program_verdict() {
-        tnt_infer::Verdict::Terminating => "Y",
-        tnt_infer::Verdict::NonTerminating => "N",
-        tnt_infer::Verdict::Unknown if result.stats.budget_exhausted => "T/O",
-        tnt_infer::Verdict::Unknown => "U",
-    };
     let mut out = String::with_capacity(256);
     out.push_str("{\"id\":");
     emit_value(id, &mut out);
     out.push_str(",\"status\":\"ok\",\"verdict\":\"");
-    out.push_str(verdict);
+    out.push_str(result.outcome().as_str());
     out.push_str("\",\"precondition\":");
     match result.program_precondition() {
         Some(pre) => {
@@ -487,6 +537,63 @@ mod tests {
             parse(lines[2]).get("status").and_then(Value::as_str),
             Some("ok"),
             "the loop keeps serving after an oversized line"
+        );
+    }
+
+    /// Runs the serve loop over `input` and returns the parsed response lines.
+    fn serve_all(server: &Server, input: impl BufRead) -> Vec<Value> {
+        let mut output = Vec::new();
+        serve(server, input, &mut output).expect("serve loop");
+        String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect()
+    }
+
+    #[test]
+    fn non_utf8_line_gets_an_error_and_the_loop_keeps_serving() {
+        let server = Server::new(InferOptions::default());
+        let mut input = b"\xff\xfe\n".to_vec();
+        input.extend_from_slice(format!("{{\"id\": 1, \"source\": \"{LOOPING}\"}}\n").as_bytes());
+        let responses = serve_all(&server, input.as_slice());
+        assert_eq!(responses.len(), 2, "both lines are answered");
+        assert_eq!(
+            responses[0].get("status").and_then(Value::as_str),
+            Some("error")
+        );
+        assert!(responses[0].get("id").unwrap().is_null());
+        assert_eq!(
+            responses[1].get("verdict").and_then(Value::as_str),
+            Some("N")
+        );
+    }
+
+    #[test]
+    fn oversized_line_is_measured_in_full_but_buffered_only_to_the_cap() {
+        let server = Server::new(InferOptions::default()).with_max_request_bytes(64);
+        // A reader that hands out 8-byte chunks, so the oversized line spans
+        // many buffer refills.
+        let ok = format!("{{\"id\": 2, \"source\": \"{LOOPING}\"}}\r\n");
+        let input = format!("{}\r\n{ok}", "x".repeat(100_000));
+        let mut line = Vec::new();
+        let mut chunked = io::BufReader::with_capacity(8, input.as_bytes());
+        assert_eq!(
+            read_line_capped(&mut chunked, &mut line, 64).unwrap(),
+            Some(100_000),
+            "the `\\r\\n` ending is not counted"
+        );
+        assert_eq!(line.len(), 65, "at most cap + 1 bytes are kept");
+        let responses = serve_all(&server, io::BufReader::with_capacity(8, input.as_bytes()));
+        assert_eq!(responses.len(), 2);
+        assert_eq!(
+            responses[0].get("error").and_then(Value::as_str),
+            Some("request line is 100000 bytes, over the 64-byte limit")
+        );
+        assert_eq!(
+            responses[1].get("status").and_then(Value::as_str),
+            Some("ok"),
+            "the next line is still answered"
         );
     }
 

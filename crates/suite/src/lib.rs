@@ -34,5 +34,5 @@ pub use corpora::{
     crafted, crafted_lit, integer_loops, memory_alloca, numeric, svcomp_suites, Category, Expected,
     Suite,
 };
-pub use runner::{run_suite_session, run_suite_session_with, Outcome, ProgramReport, SuiteReport};
+pub use runner::{run_suite_session, run_suite_session_with, ProgramReport, SuiteReport};
 pub use templates::BenchProgram;

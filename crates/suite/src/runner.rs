@@ -19,32 +19,7 @@
 
 use crate::corpora::Suite;
 use crate::templates::Expected;
-use std::fmt;
-use tnt_infer::{AnalysisSession, BatchEntry, Verdict};
-
-/// The scored outcome of analysing one benchmark program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome {
-    /// Termination proven ("Y").
-    Yes,
-    /// Non-termination proven ("N").
-    No,
-    /// Inconclusive ("U").
-    Unknown,
-    /// The deterministic work budget was exhausted ("T/O").
-    Timeout,
-}
-
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Outcome::Yes => write!(f, "Y"),
-            Outcome::No => write!(f, "N"),
-            Outcome::Unknown => write!(f, "U"),
-            Outcome::Timeout => write!(f, "T/O"),
-        }
-    }
-}
+use tnt_infer::{AnalysisSession, BatchEntry, Outcome};
 
 /// The record of one program's run.
 #[derive(Clone, Debug)]
@@ -72,18 +47,12 @@ impl ProgramReport {
     /// `true` when the outcome contradicts the ground truth — the soundness
     /// violation the paper's re-verification rules out.
     pub fn is_unsound(&self) -> bool {
-        matches!(
-            (self.outcome, self.expected),
-            (Outcome::Yes, Expected::NonTerminating) | (Outcome::No, Expected::Terminating)
-        )
+        self.expected.contradicts(self.outcome)
     }
 
     /// `true` when the outcome is the definite answer matching the ground truth.
     pub fn is_correct_definite(&self) -> bool {
-        matches!(
-            (self.outcome, self.expected),
-            (Outcome::Yes, Expected::Terminating) | (Outcome::No, Expected::NonTerminating)
-        )
+        self.expected.confirms(self.outcome)
     }
 }
 
@@ -193,19 +162,13 @@ pub fn run_suite_session_with(
 
 /// Scores one batch entry against its ground truth.
 fn score_entry(name: &str, expected: Expected, entry: BatchEntry) -> ProgramReport {
-    let outcome = match &entry.result {
-        Err(_) => Outcome::Unknown,
-        Ok(result) => match result.program_verdict() {
-            Verdict::Terminating => Outcome::Yes,
-            Verdict::NonTerminating => Outcome::No,
-            Verdict::Unknown if result.stats.budget_exhausted => Outcome::Timeout,
-            Verdict::Unknown => Outcome::Unknown,
-        },
-    };
     ProgramReport {
         name: name.to_string(),
         expected,
-        outcome,
+        outcome: entry
+            .result
+            .as_ref()
+            .map_or(Outcome::Unknown, |result| result.outcome()),
         elapsed: entry.elapsed,
         work: entry.work,
         note: entry.panic_note,

@@ -6,6 +6,7 @@
 //! [`crate::corpora`] instantiate these templates with varying parameters.
 
 use std::fmt;
+use tnt_infer::Outcome;
 
 /// Ground truth of a benchmark program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,6 +23,26 @@ impl fmt::Display for Expected {
             Expected::Terminating => write!(f, "terminating"),
             Expected::NonTerminating => write!(f, "non-terminating"),
         }
+    }
+}
+
+impl Expected {
+    /// `true` when `outcome` contradicts this ground truth: `Y` on a
+    /// non-terminating program or `N` on a terminating one, the soundness
+    /// violation the paper's re-verification rules out.
+    pub fn contradicts(self, outcome: Outcome) -> bool {
+        matches!(
+            (outcome, self),
+            (Outcome::Yes, Expected::NonTerminating) | (Outcome::No, Expected::Terminating)
+        )
+    }
+
+    /// `true` when `outcome` is the definite answer matching this ground truth.
+    pub fn confirms(self, outcome: Outcome) -> bool {
+        matches!(
+            (outcome, self),
+            (Outcome::Yes, Expected::Terminating) | (Outcome::No, Expected::NonTerminating)
+        )
     }
 }
 

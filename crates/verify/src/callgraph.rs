@@ -97,46 +97,44 @@ impl CallGraph {
     }
 }
 
-fn tarjan(nodes: &[Symbol], edges: &BTreeMap<Symbol, BTreeSet<Symbol>>) -> Vec<Vec<Symbol>> {
-    struct State<'a> {
-        edges: &'a BTreeMap<Symbol, BTreeSet<Symbol>>,
+/// Tarjan's strongly connected components of the graph `successors` over
+/// `nodes`, in reverse topological (callees-first) order, each SCC sorted.
+/// Roots are visited in `nodes` order and successors in set order, so the
+/// result is deterministic.
+pub fn tarjan<N: Ord + Clone>(nodes: &[N], successors: &BTreeMap<N, BTreeSet<N>>) -> Vec<Vec<N>> {
+    struct State<'a, N> {
+        successors: &'a BTreeMap<N, BTreeSet<N>>,
         index: usize,
-        indices: BTreeMap<Symbol, usize>,
-        lowlink: BTreeMap<Symbol, usize>,
-        on_stack: BTreeSet<Symbol>,
-        stack: Vec<Symbol>,
-        sccs: Vec<Vec<Symbol>>,
+        indices: BTreeMap<N, usize>,
+        lowlink: BTreeMap<N, usize>,
+        on_stack: BTreeSet<N>,
+        stack: Vec<N>,
+        sccs: Vec<Vec<N>>,
     }
 
-    fn strongconnect(v: Symbol, st: &mut State<'_>) {
-        st.indices.insert(v, st.index);
-        st.lowlink.insert(v, st.index);
+    fn connect<N: Ord + Clone>(v: &N, st: &mut State<'_, N>) {
+        st.indices.insert(v.clone(), st.index);
+        st.lowlink.insert(v.clone(), st.index);
         st.index += 1;
-        st.stack.push(v);
-        st.on_stack.insert(v);
-
-        let successors: Vec<Symbol> = st
-            .edges
-            .get(&v)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        for w in successors {
-            if !st.indices.contains_key(&w) {
-                strongconnect(w, st);
-                let low = st.lowlink[&w].min(st.lowlink[&v]);
-                st.lowlink.insert(v, low);
-            } else if st.on_stack.contains(&w) {
-                let low = st.indices[&w].min(st.lowlink[&v]);
-                st.lowlink.insert(v, low);
+        st.stack.push(v.clone());
+        st.on_stack.insert(v.clone());
+        let successors = st.successors;
+        for w in successors.get(v).into_iter().flatten() {
+            if !st.indices.contains_key(w) {
+                connect(w, st);
+                let low = st.lowlink[w].min(st.lowlink[v]);
+                st.lowlink.insert(v.clone(), low);
+            } else if st.on_stack.contains(w) {
+                let low = st.indices[w].min(st.lowlink[v]);
+                st.lowlink.insert(v.clone(), low);
             }
         }
-
-        if st.lowlink[&v] == st.indices[&v] {
+        if st.lowlink[v] == st.indices[v] {
             let mut scc = Vec::new();
             loop {
                 let w = st.stack.pop().expect("non-empty stack");
                 st.on_stack.remove(&w);
-                let done = w == v;
+                let done = w == *v;
                 scc.push(w);
                 if done {
                     break;
@@ -148,7 +146,7 @@ fn tarjan(nodes: &[Symbol], edges: &BTreeMap<Symbol, BTreeSet<Symbol>>) -> Vec<V
     }
 
     let mut state = State {
-        edges,
+        successors,
         index: 0,
         indices: BTreeMap::new(),
         lowlink: BTreeMap::new(),
@@ -156,9 +154,9 @@ fn tarjan(nodes: &[Symbol], edges: &BTreeMap<Symbol, BTreeSet<Symbol>>) -> Vec<V
         stack: Vec::new(),
         sccs: Vec::new(),
     };
-    for &n in nodes {
-        if !state.indices.contains_key(&n) {
-            strongconnect(n, &mut state);
+    for n in nodes {
+        if !state.indices.contains_key(n) {
+            connect(n, &mut state);
         }
     }
     state.sccs

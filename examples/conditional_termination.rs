@@ -27,10 +27,12 @@ fn main() {
     let t2 = IntegerLoopOnly::default();
     let tools: Vec<&dyn Analyzer> = vec![&hiptnt, &aprove, &ultimate, &t2];
 
-    for (title, source) in programs {
+    let sources = programs.map(|(_, source)| source);
+    let runs: Vec<_> = tools.iter().map(|tool| tool.run(&sources)).collect();
+    for (i, (title, _)) in programs.iter().enumerate() {
         println!("{title}");
-        for tool in &tools {
-            let run = tool.run(source);
+        for (tool, runs) in tools.iter().zip(&runs) {
+            let run = runs[i];
             println!(
                 "  {:<18} {:>4}   ({:.3}s)",
                 tool.name(),

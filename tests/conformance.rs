@@ -121,7 +121,7 @@ fn gcd_and_phase_change_templates_answer_term() {
     for report in runner::run_suite_session(&session, &suite).programs {
         assert_eq!(
             report.outcome,
-            hiptnt::suite::Outcome::Yes,
+            hiptnt::infer::Outcome::Yes,
             "{} must be proven terminating, got {}",
             report.name,
             report.outcome

@@ -9,21 +9,31 @@
 //! in direction. (Both sides are additionally checked against the corpus
 //! ground truth by `tests/conformance.rs` and `tests/soundness.rs`.)
 
-use hiptnt::baselines::{Alternation, Analyzer, Answer, HipTntPlus, IntegerLoopOnly, TermOnly};
+use hiptnt::baselines::{Alternation, Analyzer, HipTntPlus, IntegerLoopOnly, TermOnly};
+use hiptnt::infer::Outcome;
 use hiptnt::suite::numeric;
 
-fn is_definite(answer: Answer) -> bool {
-    matches!(answer, Answer::Yes | Answer::No)
+fn is_definite(answer: Outcome) -> bool {
+    matches!(answer, Outcome::Yes | Outcome::No)
+}
+
+/// Every answer of `tool` on the numeric suite, in corpus order.
+fn answers(tool: &dyn Analyzer) -> Vec<Outcome> {
+    let suite = numeric();
+    let sources: Vec<&str> = suite.programs.iter().map(|p| p.source.as_str()).collect();
+    tool.run(&sources)
+        .into_iter()
+        .map(|run| run.answer)
+        .collect()
 }
 
 fn check_never_contradicts(baseline: &dyn Analyzer) {
-    let main = HipTntPlus::default();
     let suite = numeric();
+    let references = answers(&HipTntPlus::default());
+    let candidates = answers(baseline);
     let mut contradictions = Vec::new();
     let mut both_definite = 0usize;
-    for program in &suite.programs {
-        let reference = main.run(&program.source).answer;
-        let candidate = baseline.run(&program.source).answer;
+    for ((program, reference), candidate) in suite.programs.iter().zip(references).zip(candidates) {
         if is_definite(reference) && is_definite(candidate) {
             both_definite += 1;
             if reference != candidate {
@@ -70,25 +80,17 @@ fn integer_loop_profile_never_contradicts_main() {
 /// main analyzer is inconclusive must still be consistent with ground truth.
 #[test]
 fn baseline_definites_respect_ground_truth_where_main_is_unknown() {
-    let main = HipTntPlus::default();
-    let term_only = TermOnly::default();
-    let alternation = Alternation::default();
-    let integer_only = IntegerLoopOnly::default();
-    let tools: [&dyn Analyzer; 3] = [&term_only, &alternation, &integer_only];
-    for program in &numeric().programs {
-        let reference = main.run(&program.source).answer;
-        if is_definite(reference) {
-            continue;
-        }
-        for tool in tools {
-            let answer = tool.run(&program.source).answer;
-            let unsound = matches!(
-                (answer, program.expected),
-                (Answer::Yes, hiptnt::suite::Expected::NonTerminating)
-                    | (Answer::No, hiptnt::suite::Expected::Terminating)
-            );
+    let programs = numeric().programs;
+    let references = answers(&HipTntPlus::default());
+    let tools: [&dyn Analyzer; 3] = [
+        &TermOnly::default(),
+        &Alternation::default(),
+        &IntegerLoopOnly::default(),
+    ];
+    for tool in tools {
+        for ((program, reference), answer) in programs.iter().zip(&references).zip(answers(tool)) {
             assert!(
-                !unsound,
+                is_definite(*reference) || !program.expected.contradicts(answer),
                 "{} answered {answer} on {} ({} per ground truth)",
                 tool.name(),
                 program.name,

@@ -68,9 +68,7 @@ pub mod summary;
 pub mod theta;
 
 pub use analyzer::{analyze_program, analyze_source, AnalysisResult, InferError, InferOptions};
-pub use method_cache::{
-    CaseOutcome, CaseSnapshot, EventRecord, MethodKey, MethodRecord, RootRecord,
-};
+pub use method_cache::{CaseSnapshot, EventRecord, MethodKey, MethodRecord, RootRecord};
 pub use session::{
     AnalysisSession, BatchEntry, CacheTier, ProgramKey, SessionStats, SummaryBackend,
 };

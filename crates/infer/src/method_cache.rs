@@ -30,10 +30,10 @@
 //! lost savings, never to a divergent result.
 
 use crate::session::{canonical_method, canonical_program, ProgramKey};
-use crate::theta::{CaseState, Theta};
+use crate::summary::CaseStatus;
+use crate::theta::Theta;
 use std::collections::{BTreeMap, BTreeSet};
 use tnt_logic::Formula;
-use tnt_solver::MeasureItem;
 use tnt_verify::hoare::ProgramAnalysis;
 use tnt_verify::CallGraph;
 
@@ -71,28 +71,6 @@ impl MethodKey {
     }
 }
 
-/// The resolution a replayable event applied to one case: only the outcomes a
-/// context-free iteration-0 proof can produce (`Term` with a synthesized
-/// measure, or `Loop`). `MayLoop` never appears — it arises from exhaustion,
-/// which disqualifies the whole record.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CaseOutcome {
-    /// Terminating with the recorded (possibly empty) measure.
-    Term(Vec<MeasureItem>),
-    /// Definitely non-terminating.
-    Loop,
-}
-
-impl CaseOutcome {
-    /// The [`CaseState`] this outcome resolves a case to.
-    pub(crate) fn to_state(&self) -> CaseState {
-        match self {
-            CaseOutcome::Term(measure) => CaseState::Term(measure.clone()),
-            CaseOutcome::Loop => CaseState::Loop,
-        }
-    }
-}
-
 /// One case of a root's post-base-case partition: the guard formula and
 /// whether base-case inference already forced it to `Term []`.
 #[derive(Clone, Debug, PartialEq)]
@@ -123,8 +101,11 @@ pub struct RootRecord {
 pub struct EventRecord {
     /// The member cases, as sorted `(root, case index)` coordinates.
     pub members: Vec<(String, usize)>,
-    /// The resolution applied to each member.
-    pub outcomes: Vec<(String, usize, CaseOutcome)>,
+    /// The resolution applied to each member: only what a context-free
+    /// iteration-0 proof can produce (`Term` with its measure, or `Loop`).
+    /// `MayLoop` never appears — it arises from exhaustion, which
+    /// disqualifies the whole record.
+    pub outcomes: Vec<(String, usize, CaseStatus)>,
     /// Work units (pivots + cubes) the original processing spent.
     pub work: u64,
     /// Simplex pivots alone (the component the solver deadline meters).

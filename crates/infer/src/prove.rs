@@ -408,17 +408,6 @@ pub struct NonTermOutcome {
     pub diagnostics: Vec<String>,
 }
 
-/// `prove_NonTerm`: inductive unreachability of the SCC's post-predicates, with
-/// abductive inference of case-split conditions on failure.
-pub fn prove_nonterm(
-    scc: &[String],
-    obligations: &[Obligation],
-    theta: &Theta,
-    options: &SolveOptions,
-) -> NonTermOutcome {
-    prove_nonterm_assuming(scc, obligations, theta, options, &BTreeSet::new())
-}
-
 /// Guards of obligation items whose callee post-predicate is definitely
 /// unreachable: `False` items, `Unknown` items whose paired pre-predicate
 /// belongs to the SCC (the induction hypothesis), and `Unknown` items whose
@@ -459,15 +448,17 @@ fn usable_guards(
     (has_items, usable)
 }
 
-/// [`prove_nonterm`] extended with coinductive hypotheses: the posts listed in
-/// `assumed_false` are treated as unreachable in addition to the SCC's own.
+/// `prove_NonTerm`: inductive unreachability of the SCC's post-predicates, with
+/// abductive inference of case-split conditions on failure.
 ///
-/// The validation pass uses this to re-check each resolved `Loop` case against
-/// the *final* store: there every `Loop` resolution is re-proven
-/// simultaneously, so assuming the other `Loop` posts false is sound by
+/// The posts listed in `assumed_false` are coinductive hypotheses, treated as
+/// unreachable in addition to the SCC's own. The solver passes none. The
+/// validation pass re-checks each resolved `Loop` case against the *final*
+/// store with every other `Loop` post assumed false: there every `Loop`
+/// resolution is re-proven simultaneously, so the assumption is sound by
 /// infinite descent — a shortest execution reaching any assumed-false post
 /// would have to pass through a strictly shorter one.
-pub fn prove_nonterm_assuming(
+pub fn prove_nonterm(
     scc: &[String],
     obligations: &[Obligation],
     theta: &Theta,
@@ -556,17 +547,40 @@ pub struct RecurrentOutcome {
     pub remainder: Vec<Formula>,
 }
 
+/// Steps per simulated orbit in the enriched pass. A bounded transient can
+/// take up to the sampled value range (`-16..17`) to drain — e.g. `x` shrinking
+/// by 1 per step from 16 before the exit fires — so the horizon must exceed
+/// twice that range or such terminating orbits would pollute the harvest tails
+/// with atoms that only hold transiently. 36 steps leaves the tail (the second
+/// half) strictly past any rate-1 drain of the sample range, while drifting
+/// values stay far from overflow.
+const ORBIT_STEPS: usize = 36;
+
+/// The candidate-atom pool a recurrent-set proof draws from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pool {
+    /// The formal-state atoms of the internal transitions' guard cubes and of
+    /// the case guard.
+    Guards,
+    /// [`Pool::Guards`] plus the atoms harvested from concrete orbit
+    /// simulation ([`tnt_solver::orbit::harvest`]). It reaches regions bounded
+    /// by an inequality that appears in no guard: the drift `x' = x + y,
+    /// y' = y + 1` guarded only by `x ≥ 0` needs `y ≥ 0`. Meant to run after
+    /// [`Pool::Guards`] failed, so it gives up when the orbits add no atom.
+    Orbit,
+}
+
 /// Closed recurrent-set synthesis for a self-recursive case: the fall-back
 /// non-termination prover when [`prove_nonterm`]'s whole-guard coverage proof
 /// fails (typically because only *part* of the case's state space diverges).
 ///
 /// The prover builds a [`RecurrentProblem`] from the guard cubes of the case's
-/// internal (self) edges, harvests candidate atoms from the source-state part
-/// of those cubes and the case guard, prunes them on deterministic concrete
-/// valuations (the DynamiTe-style sample pre-filter), and certifies the
-/// surviving set `S` per-transition with Farkas implications. A successful
-/// certificate is re-validated on the sampled valuations as a built-in
-/// self-check before it is trusted.
+/// internal (self) edges, draws candidate atoms from `pool`, prunes them on
+/// deterministic concrete valuations (the DynamiTe-style sample pre-filter),
+/// and certifies the surviving set `S` per-transition with Farkas
+/// implications. A successful certificate is re-validated on the sampled
+/// valuations as a built-in self-check before it is trusted. The posts in
+/// `assumed_false` are coinductive hypotheses, as in [`prove_nonterm`].
 ///
 /// Soundness of the `Loop` resolution on `guard ∧ S`: `S` is closed under
 /// every internal transition choice, and the exit-obligation coverage below
@@ -579,61 +593,12 @@ pub fn prove_nonterm_recurrent(
     graph: &ReachGraph,
     obligations: &[Obligation],
     theta: &Theta,
-    options: &SolveOptions,
     assumed_false: &BTreeSet<String>,
+    pool: Pool,
 ) -> Option<RecurrentOutcome> {
-    if !options.recurrent || scc.len() != 1 {
+    if scc.len() != 1 {
         return None;
     }
-    prove_nonterm_recurrent_with(scc, graph, obligations, theta, assumed_false, false)
-}
-
-/// Orbit-enriched recurrent-set synthesis: [`prove_nonterm_recurrent`] with
-/// the candidate pool augmented by atoms harvested from concrete orbit
-/// simulation ([`tnt_solver::orbit::harvest`]) over the same seeded
-/// valuations.
-///
-/// The enrichment reaches divergence regions delimited by an inequality that
-/// appears in no guard (the additive drift `x' = x + y, y' = y + 1` guarded
-/// only by `x ≥ 0` needs the guard-less `y ≥ 0`), which the guard/cube pool
-/// can never supply. It is deliberately a *separate* entry point: the solver
-/// stages it strictly after the abductive splitter's candidates are
-/// exhausted, so the cheap syntactic passes keep first claim on every case
-/// and the enrichment only pays its simulation and LP cost on cases nothing
-/// else can decide. Soundness is unchanged — harvested atoms are candidates
-/// only, certified by the same Farkas closure checks, sample self-check and
-/// exit-obligation coverage as the guard-atom pass.
-pub fn prove_nonterm_recurrent_enriched(
-    scc: &[String],
-    graph: &ReachGraph,
-    obligations: &[Obligation],
-    theta: &Theta,
-    options: &SolveOptions,
-    assumed_false: &BTreeSet<String>,
-) -> Option<RecurrentOutcome> {
-    if !options.recurrent || !options.orbit_enrichment || scc.len() != 1 {
-        return None;
-    }
-    prove_nonterm_recurrent_with(scc, graph, obligations, theta, assumed_false, true)
-}
-
-/// Steps per simulated orbit in the enriched pass. A bounded transient can
-/// take up to the sampled value range (`-16..17`) to drain — e.g. `x` shrinking
-/// by 1 per step from 16 before the exit fires — so the horizon must exceed
-/// twice that range or such terminating orbits would pollute the harvest tails
-/// with atoms that only hold transiently. 36 steps leaves the tail (the second
-/// half) strictly past any rate-1 drain of the sample range, while drifting
-/// values stay far from overflow.
-const ORBIT_STEPS: usize = 36;
-
-fn prove_nonterm_recurrent_with(
-    scc: &[String],
-    graph: &ReachGraph,
-    obligations: &[Obligation],
-    theta: &Theta,
-    assumed_false: &BTreeSet<String>,
-    enrich: bool,
-) -> Option<RecurrentOutcome> {
     let pre = &scc[0];
     let vars = theta.vars_of_pre(pre)?.to_vec();
     let post = theta.post_of_pre(pre)?.clone();
@@ -691,7 +656,7 @@ fn prove_nonterm_recurrent_with(
                     .collect()
             })
             .collect();
-    if enrich {
+    if pool == Pool::Orbit {
         let mut enriched = false;
         for atom in tnt_solver::orbit::harvest(&problem, &samples, ORBIT_STEPS) {
             if over_formals(&atom) && !candidates.contains(&atom) {
@@ -699,9 +664,8 @@ fn prove_nonterm_recurrent_with(
                 enriched = true;
             }
         }
-        // Callers stage the enriched pass strictly after the guard-pool pass
-        // has failed; with no new atoms the outcome cannot differ, so skip
-        // the re-synthesis instead of re-paying its LP cost.
+        // With no new atoms the outcome cannot differ from the guard pool's,
+        // so skip the re-synthesis instead of re-paying its LP cost.
         if !enriched {
             return None;
         }
@@ -846,6 +810,7 @@ mod tests {
             &[],
             &theta,
             &SolveOptions::default(),
+            &BTreeSet::new(),
         );
         assert!(!outcome.success);
         assert_eq!(outcome.diagnostics.len(), 1);
@@ -862,6 +827,7 @@ mod tests {
             &[],
             &healthy,
             &SolveOptions::default(),
+            &BTreeSet::new(),
         );
         assert!(outcome.diagnostics.is_empty());
     }

@@ -1,14 +1,12 @@
 //! The overall inference algorithm `solve` (Fig. 6) and the post-hoc validation of the
 //! inferred definitions.
 
-use crate::method_cache::{
-    CaseOutcome, CaseSnapshot, EventRecord, ReplayPlan, RootRecord, SolveTrace,
-};
+use crate::method_cache::{CaseSnapshot, EventRecord, ReplayPlan, RootRecord, SolveTrace};
 use crate::prove::{
-    prove_nonterm, prove_nonterm_assuming, prove_nonterm_recurrent,
-    prove_nonterm_recurrent_enriched, prove_term, prove_term_conditional, split,
+    prove_nonterm, prove_nonterm_recurrent, prove_term, prove_term_conditional, split, Pool,
 };
-use crate::specialize::{specialize_post, specialize_pre, EdgeTarget, ReachGraph};
+use crate::specialize::{specialize_post, specialize_pre, EdgeTarget, Obligation, ReachGraph};
+use crate::summary::CaseStatus;
 use crate::theta::{CaseState, Theta};
 use std::collections::{BTreeMap, BTreeSet};
 use tnt_logic::{entail, qe, simplify, Formula};
@@ -206,12 +204,11 @@ pub(crate) fn solve_with_scope(
         trace.base = base_snapshot.clone();
     }
     let replay_events = active_events(plan, &base_snapshot);
-    // Work/pivots charged on behalf of intercepted events: added to the
-    // reported `stats.work` (keeping it byte-identical to a cold run) and
-    // subtracted from the solver deadline (keeping the budget horizon where
-    // the cold run would have had it).
-    let mut injected_work: u64 = 0;
-    let mut injected_pivots: u64 = 0;
+    // Work/pivots charged on behalf of replayed events: added to the reported
+    // `stats.work` (keeping it byte-identical to a cold run) and subtracted
+    // from the solver deadline (keeping the budget horizon where the cold run
+    // would have had it).
+    let mut injected = Charge::default();
 
     // Main refinement loop (lines 6–14 of Fig. 6).
     let work_start = work_units();
@@ -234,7 +231,7 @@ pub(crate) fn solve_with_scope(
             break;
         }
         let total_cases: usize = theta.definitions().map(|(_, d)| d.cases.len()).sum();
-        if total_cases > options.max_total_cases || over_budget(&mut stats, injected_work) {
+        if total_cases > options.max_total_cases || over_budget(&mut stats, injected.work) {
             stats.budget_exhausted = true;
             break;
         }
@@ -244,17 +241,14 @@ pub(crate) fn solve_with_scope(
         let obligations = specialize_post(analysis, &theta);
 
         let mut progressed = false;
-        for scc in graph.sccs.clone() {
-            if over_budget(&mut stats, injected_work) {
+        'scc: for scc in graph.sccs.clone() {
+            if over_budget(&mut stats, injected.work) {
                 stats.budget_exhausted = true;
                 break 'outer;
             }
             // Skip SCCs that are already fully resolved (can happen after earlier
             // resolutions within this iteration).
-            if scc
-                .iter()
-                .all(|p| theta.case_of_pre(p).is_none() || resolved(&theta, p))
-            {
+            if scc.iter().all(|p| resolved(&theta, p)) {
                 continue;
             }
             // Stable member coordinates for the method tier: `(root, case
@@ -264,246 +258,120 @@ pub(crate) fn solve_with_scope(
             let members: Option<Vec<(String, usize, String)>> = (iteration == 0 && scoped)
                 .then(|| scc_members(&theta, &scc))
                 .flatten();
-
-            // Replay interception: a recorded event whose member set matches
-            // (and whose roots reproduced their recorded base partitions) is
-            // applied outright — recorded resolutions, counters, work — in
-            // place of re-running the provers. The deadline-safety check keeps
-            // a case where the cold run's prover would have tripped the budget
-            // deadline mid-proof on the fresh path instead.
-            if let Some(ms) = &members {
-                let key: Vec<(String, usize)> =
-                    ms.iter().map(|(r, i, _)| (r.clone(), *i)).collect();
-                if let Some(event) = replay_events.get(&key) {
-                    let within_deadline = tnt_solver::simplex::pivot_work()
-                        .wrapping_add(injected_pivots)
-                        .wrapping_add(event.pivots)
-                        <= deadline_base;
-                    let pre_of: BTreeMap<(&str, usize), &str> = ms
-                        .iter()
-                        .map(|(r, i, p)| ((r.as_str(), *i), p.as_str()))
-                        .collect();
-                    let applicable = within_deadline
-                        && event.outcomes.len() == ms.len()
-                        && event
-                            .outcomes
-                            .iter()
-                            .all(|(r, i, _)| pre_of.contains_key(&(r.as_str(), *i)));
-                    if applicable {
-                        for (root, index, outcome) in &event.outcomes {
-                            let pre = pre_of[&(root.as_str(), *index)].to_string();
-                            theta.resolve(&pre, outcome.to_state());
-                        }
-                        stats.ranking_attempts += event.ranking_attempts;
-                        stats.nonterm_attempts += event.nonterm_attempts;
-                        injected_work = injected_work.wrapping_add(event.work);
-                        injected_pivots = injected_pivots.wrapping_add(event.pivots);
-                        tnt_solver::simplex::set_work_deadline(
-                            deadline_base.saturating_sub(injected_pivots),
-                        );
-                        if trace_enabled {
-                            trace.events.push((*event).clone());
-                        }
-                        progressed = true;
-                        continue;
-                    }
-                }
-            }
-            // Harvest window: snapshot the counters so a replay-eligible
-            // resolution below can record its exact deltas.
+            // Harvest window: snapshot the counters so a resolution below can
+            // record its exact deltas.
             let event_start = members
                 .as_ref()
                 .filter(|_| trace_enabled)
-                .map(|_| EventStart {
-                    work: work_units(),
-                    pivots: tnt_solver::simplex::pivot_work(),
-                    ranking_attempts: stats.ranking_attempts,
-                    nonterm_attempts: stats.nonterm_attempts,
-                });
-            let finish_event = |start: &Option<EventStart>,
-                                ms: &Option<Vec<(String, usize, String)>>,
-                                stats: &SolveStats,
-                                outcomes: Vec<(String, usize, CaseOutcome)>|
-             -> Option<EventRecord> {
-                let (start, ms) = (start.as_ref()?, ms.as_ref()?);
-                (outcomes.len() == ms.len()).then(|| EventRecord {
-                    members: ms.iter().map(|(r, i, _)| (r.clone(), *i)).collect(),
-                    outcomes,
-                    work: work_units().wrapping_sub(start.work),
-                    pivots: tnt_solver::simplex::pivot_work().wrapping_sub(start.pivots),
-                    ranking_attempts: stats.ranking_attempts - start.ranking_attempts,
-                    nonterm_attempts: stats.nonterm_attempts - start.nonterm_attempts,
-                })
-            };
-            let successors = graph.scc_successors(&scc);
-            let trivially_terminating =
-                successors.is_empty() && scc.len() == 1 && !graph.has_self_edge(&scc[0]);
-            if trivially_terminating {
-                theta.resolve(&scc[0], CaseState::Term(vec![]));
-                let outcomes = members
-                    .iter()
-                    .flatten()
-                    .map(|(r, i, _)| (r.clone(), *i, CaseOutcome::Term(vec![])))
-                    .collect();
-                if let Some(event) = finish_event(&event_start, &members, &stats, outcomes) {
-                    trace.events.push(event);
-                }
-                progressed = true;
-                continue;
-            }
-            let all_term =
-                !successors.is_empty() && successors.iter().all(|t| matches!(t, EdgeTarget::Term));
-            if all_term {
-                stats.ranking_attempts += 1;
-                if let Some(measures) = prove_term(&scc, &graph, &theta, options) {
-                    let mut outcomes = Vec::new();
-                    for (pre, measure) in measures {
-                        if let Some((r, i, _)) = members
-                            .iter()
-                            .flatten()
-                            .find(|(_, _, member_pre)| *member_pre == pre)
-                        {
-                            outcomes.push((r.clone(), *i, CaseOutcome::Term(measure.clone())));
-                        }
-                        theta.resolve(&pre, CaseState::Term(measure));
-                    }
-                    if let Some(event) = finish_event(&event_start, &members, &stats, outcomes) {
+                .map(|_| EventStart::at(&stats, &injected));
+            // A recorded event whose member set matches (and whose roots
+            // reproduced their recorded base partitions) stands in for the
+            // context-free rungs: its resolutions, counters and work are
+            // charged in place of re-running the provers.
+            let replayed = members.as_ref().and_then(|ms| {
+                let key: Vec<(String, usize)> =
+                    ms.iter().map(|(r, i, _)| (r.clone(), *i)).collect();
+                let event = replay_events.get(&key)?;
+                replay(event, ms, &mut stats, &mut injected, deadline_base)
+            });
+            let rungs = replayed.map_or_else(
+                || context_free_rungs(&scc, &graph, &obligations, &theta, options, &mut stats),
+                Ok,
+            );
+            let mut splits = match rungs {
+                Ok(resolutions) => {
+                    if let Some(event) = event_start.and_then(|start| {
+                        start.finish(members.as_deref()?, &resolutions, &stats, &injected)
+                    }) {
                         trace.events.push(event);
+                    }
+                    for (pre, state) in resolutions {
+                        theta.resolve(&pre, state);
                     }
                     progressed = true;
                     continue;
                 }
-            }
-            // Non-termination proof (directly, or as the fall-back after a failed
-            // termination proof, or when a successor is Loop/MayLoop).
-            stats.nonterm_attempts += 1;
-            let outcome = prove_nonterm(&scc, &obligations, &theta, options);
-            if outcome.success {
-                for pre in &scc {
-                    theta.resolve(pre, CaseState::Loop);
-                }
-                let outcomes = members
-                    .iter()
-                    .flatten()
-                    .map(|(r, i, _)| (r.clone(), *i, CaseOutcome::Loop))
-                    .collect();
-                if let Some(event) = finish_event(&event_start, &members, &stats, outcomes) {
-                    trace.events.push(event);
-                }
-                progressed = true;
-                continue;
-            }
-            // Entry-restricted conditional termination: the SCC may terminate on the
-            // sub-region actually reachable from its call sites even when no global
-            // measure exists (gcd-style loops entered with positive arguments).
-            // Attempted before abductive splitting, which cannot recover call-site
-            // information and tends to fragment such cases until the budget runs out.
-            // Not gated on all-`Term` successors: the prover itself certifies that
-            // every edge towards a non-`Term` target is infeasible inside the region.
-            stats.ranking_attempts += 1;
-            if let Some(cases) = prove_term_conditional(&scc, &graph, &theta, options) {
-                for (pre, case) in cases {
-                    if case.remainder.is_empty() {
-                        theta.resolve(&pre, CaseState::Term(case.measure));
-                    } else {
-                        let mut parts = vec![(case.region, Some(CaseState::Term(case.measure)))];
-                        parts.extend(case.remainder.into_iter().map(|f| (f, None)));
-                        theta.split_case(&pre, parts);
+                Err(splits) => splits,
+            };
+            for rung in LADDER {
+                match rung {
+                    Rung::Conditional => {
+                        stats.ranking_attempts += 1;
+                        let Some(cases) = prove_term_conditional(&scc, &graph, &theta, options)
+                        else {
+                            continue;
+                        };
+                        for (pre, case) in cases {
+                            let state = CaseState::Term(case.measure);
+                            settle(&mut theta, &pre, case.region, case.remainder, state);
+                        }
+                        continue 'outer;
                     }
-                }
-                // The graph changed shape: restart the iteration (line 11 of
-                // Fig. 6), exactly as after an abductive case split.
-                continue 'outer;
-            }
-            // Closed recurrent-set synthesis: the non-termination fall-back for
-            // cases where only part of the state space diverges and the region
-            // must be *discovered* rather than read off the case structure (the
-            // aperiodic class). A whole-guard certificate resolves the case to
-            // `Loop`; a partial one splits the case on the recurrent region.
-            if options.recurrent && scc.len() == 1 {
-                stats.nonterm_attempts += 1;
-                if let Some(rec) = prove_nonterm_recurrent(
-                    &scc,
-                    &graph,
-                    &obligations,
-                    &theta,
-                    options,
-                    &BTreeSet::new(),
-                ) {
-                    if rec.remainder.is_empty() {
-                        theta.resolve(&rec.pre, CaseState::Loop);
-                        progressed = true;
-                        continue;
+                    Rung::Recurrent(pool) => {
+                        if !options.recurrent
+                            || scc.len() != 1
+                            || (pool == Pool::Orbit && !options.orbit_enrichment)
+                        {
+                            continue;
+                        }
+                        let start = work_units();
+                        let no_hypotheses = BTreeSet::new();
+                        let rec = prove_nonterm_recurrent(
+                            &scc,
+                            &graph,
+                            &obligations,
+                            &theta,
+                            &no_hypotheses,
+                            pool,
+                        );
+                        match pool {
+                            Pool::Guards => stats.nonterm_attempts += 1,
+                            Pool::Orbit => {
+                                stats.orbit_attempts += 1;
+                                let spent = work_units().wrapping_sub(start);
+                                stats.orbit_work = stats.orbit_work.wrapping_add(spent);
+                            }
+                        }
+                        let Some(rec) = rec else { continue };
+                        let (pre, state) = (rec.pre, CaseState::Loop);
+                        if settle(&mut theta, &pre, rec.region, rec.remainder, state) {
+                            progressed = true;
+                            continue 'scc;
+                        }
+                        stats.case_splits += 1;
+                        continue 'outer;
                     }
-                    stats.case_splits += 1;
-                    let mut parts = vec![(rec.region, Some(CaseState::Loop))];
-                    parts.extend(rec.remainder.into_iter().map(|f| (f, None)));
-                    theta.split_case(&rec.pre, parts);
-                    continue 'outer;
-                }
-            }
-            if options.enable_case_split && !outcome.splits.is_empty() {
-                let mut split_applied = false;
-                for (pre, conditions) in outcome.splits {
-                    // Per-family quota: a family that has used up its splits is
-                    // treated as having no splitter candidates left, so control
-                    // falls through to the orbit-enriched pass below.
-                    let Some(root) = theta.case_of_pre(&pre).map(|(r, _)| r.to_string()) else {
-                        continue;
-                    };
-                    if family_splits.get(&root).copied().unwrap_or(0)
-                        >= options.max_splits_per_family
-                    {
-                        continue;
+                    Rung::Abductive if options.enable_case_split => {
+                        let mut split_applied = false;
+                        for (pre, conditions) in std::mem::take(&mut splits) {
+                            // Per-family quota: a family that has used up its
+                            // splits is treated as having no splitter
+                            // candidates left, so control falls through to the
+                            // orbit-pool rung.
+                            let Some(root) = theta.case_of_pre(&pre).map(|(r, _)| r.to_string())
+                            else {
+                                continue;
+                            };
+                            if family_splits.get(&root).copied().unwrap_or(0)
+                                >= options.max_splits_per_family
+                            {
+                                continue;
+                            }
+                            let guard = theta.guard_of_pre(&pre).cloned().unwrap_or(Formula::True);
+                            let parts = split(&conditions, &guard);
+                            if parts.len() < 2 {
+                                continue;
+                            }
+                            stats.case_splits += 1;
+                            *family_splits.entry(root).or_insert(0) += 1;
+                            theta.split_case(&pre, parts.into_iter().map(|p| (p, None)).collect());
+                            split_applied = true;
+                        }
+                        if split_applied {
+                            continue 'outer;
+                        }
                     }
-                    let guard = theta.guard_of_pre(&pre).cloned().unwrap_or(Formula::True);
-                    let parts = split(&conditions, &guard);
-                    if parts.len() < 2 {
-                        continue;
-                    }
-                    stats.case_splits += 1;
-                    *family_splits.entry(root).or_insert(0) += 1;
-                    theta.split_case(&pre, parts.into_iter().map(|p| (p, None)).collect());
-                    split_applied = true;
-                }
-                if split_applied {
-                    // Restart with the refined definitions (line 11 of Fig. 6); the
-                    // restart re-enters the iteration loop, so `progressed` need not
-                    // be updated here.
-                    continue 'outer;
-                }
-            }
-            // Orbit-enriched recurrent-set synthesis: staged strictly last,
-            // once the abductive splitter's candidates are exhausted — the
-            // cheap syntactic passes above keep first claim on every case, and
-            // the simulation + enlarged LP cost is paid only on cases nothing
-            // else decides. Work spent here is accounted separately so the
-            // enrichment's cost stays attributable.
-            if options.orbit_enrichment && options.recurrent && scc.len() == 1 {
-                stats.orbit_attempts += 1;
-                let orbit_start = work_units();
-                let enriched = prove_nonterm_recurrent_enriched(
-                    &scc,
-                    &graph,
-                    &obligations,
-                    &theta,
-                    options,
-                    &BTreeSet::new(),
-                );
-                stats.orbit_work = stats
-                    .orbit_work
-                    .wrapping_add(work_units().wrapping_sub(orbit_start));
-                if let Some(rec) = enriched {
-                    if rec.remainder.is_empty() {
-                        theta.resolve(&rec.pre, CaseState::Loop);
-                        progressed = true;
-                        continue;
-                    }
-                    stats.case_splits += 1;
-                    let mut parts = vec![(rec.region, Some(CaseState::Loop))];
-                    parts.extend(rec.remainder.into_iter().map(|f| (f, None)));
-                    theta.split_case(&rec.pre, parts);
-                    continue 'outer;
+                    Rung::Abductive => {}
                 }
             }
         }
@@ -513,19 +381,190 @@ pub(crate) fn solve_with_scope(
     }
     stats.work = work_units()
         .wrapping_sub(work_start)
-        .wrapping_add(injected_work);
+        .wrapping_add(injected.work);
     tnt_solver::simplex::set_work_deadline(previous_deadline);
 
     theta.finalize();
     (theta, stats, trace)
 }
 
-/// Counter values at the start of one SCC's processing (the harvest window).
+/// Resolutions of whole SCC members, as `(pre, state)` pairs.
+type Resolutions = Vec<(String, CaseState)>;
+
+/// The context-free rungs of Fig. 6's ladder, in order: the trivially
+/// terminating shortcut, `prove_Term` behind all-`Term` successors, and
+/// `prove_NonTerm`. They read nothing outside the SCC's own cone, which is what
+/// lets the method tier record and replay them. Returns every member's
+/// resolution, in the order the method tier records it, or the abduced split
+/// conditions when no rung succeeded.
+fn context_free_rungs(
+    scc: &[String],
+    graph: &ReachGraph,
+    obligations: &[Obligation],
+    theta: &Theta,
+    options: &SolveOptions,
+    stats: &mut SolveStats,
+) -> Result<Resolutions, BTreeMap<String, Vec<Formula>>> {
+    let successors = graph.scc_successors(scc);
+    if successors.is_empty() && scc.len() == 1 && !graph.has_self_edge(&scc[0]) {
+        return Ok(vec![(scc[0].clone(), CaseState::Term(vec![]))]);
+    }
+    if !successors.is_empty() && successors.iter().all(|t| matches!(t, EdgeTarget::Term)) {
+        stats.ranking_attempts += 1;
+        if let Some(measures) = prove_term(scc, graph, theta, options) {
+            return Ok(measures
+                .into_iter()
+                .map(|(pre, measure)| (pre, CaseState::Term(measure)))
+                .collect());
+        }
+    }
+    // Non-termination proof (directly, or as the fall-back after a failed
+    // termination proof, or when a successor is Loop/MayLoop).
+    stats.nonterm_attempts += 1;
+    let outcome = prove_nonterm(scc, obligations, theta, options, &BTreeSet::new());
+    if !outcome.success {
+        return Err(outcome.splits);
+    }
+    let mut pres = scc.to_vec();
+    pres.sort_by_key(|pre| theta.case_of_pre(pre));
+    Ok(pres.into_iter().map(|pre| (pre, CaseState::Loop)).collect())
+}
+
+/// The context-dependent rungs of Fig. 6's ladder. They read the callers'
+/// entry edges or the iteration's split history, so the method tier never
+/// records them. A rung that splits a case restarts the iteration (line 11).
+#[derive(Clone, Copy)]
+enum Rung {
+    /// Entry-restricted conditional termination: the SCC may terminate on the
+    /// sub-region reachable from its call sites even when no global measure
+    /// exists (gcd-style loops entered with positive arguments). Abductive
+    /// splitting cannot recover that call-site information. Success always
+    /// restarts the iteration: the graph changed shape.
+    Conditional,
+    /// Closed recurrent-set synthesis, for cases where only part of the state
+    /// space diverges and the region must be *discovered* (the aperiodic
+    /// class). A whole-guard `Loop` needs no restart.
+    Recurrent(Pool),
+    /// Abductive case splitting (Sec. 5.6), within the per-family quota.
+    Abductive,
+}
+
+/// The rungs in the order they are tried once the context-free ones failed:
+/// the orbit pool runs last, so the cheap syntactic passes keep first claim.
+const LADDER: [Rung; 4] = [
+    Rung::Conditional,
+    Rung::Recurrent(Pool::Guards),
+    Rung::Abductive,
+    Rung::Recurrent(Pool::Orbit),
+];
+
+/// Resolves the case owning `pre` to `state` when `remainder` is empty, and
+/// otherwise splits it into `region` (resolved to `state`) and the unknown
+/// `remainder` parts. Returns `true` when the whole case was resolved.
+fn settle(
+    theta: &mut Theta,
+    pre: &str,
+    region: Formula,
+    remainder: Vec<Formula>,
+    state: CaseState,
+) -> bool {
+    if remainder.is_empty() {
+        theta.resolve(pre, state);
+        return true;
+    }
+    let mut parts = vec![(region, Some(state))];
+    parts.extend(remainder.into_iter().map(|f| (f, None)));
+    theta.split_case(pre, parts);
+    false
+}
+
+/// Work and pivots charged on behalf of replayed events.
+#[derive(Clone, Copy, Default)]
+struct Charge {
+    work: u64,
+    pivots: u64,
+}
+
+/// Applies the charges of a recorded `event` and returns its resolutions on
+/// the SCC with member coordinates `ms`, when the event applies: it covers
+/// exactly the members, and charging its pivots stays within the deadline. The
+/// deadline check keeps a case where the cold run's prover would have tripped
+/// the budget mid-proof on the fresh path instead.
+fn replay(
+    event: &EventRecord,
+    ms: &[(String, usize, String)],
+    stats: &mut SolveStats,
+    injected: &mut Charge,
+    deadline: u64,
+) -> Option<Resolutions> {
+    let charged_pivots = tnt_solver::simplex::pivot_work().wrapping_add(injected.pivots);
+    if charged_pivots.wrapping_add(event.pivots) > deadline || event.outcomes.len() != ms.len() {
+        return None;
+    }
+    let resolutions = event
+        .outcomes
+        .iter()
+        .map(|(root, index, status)| {
+            let (_, _, pre) = ms.iter().find(|(r, i, _)| r == root && i == index)?;
+            Some((pre.clone(), CaseState::from(status)))
+        })
+        .collect::<Option<_>>()?;
+    stats.ranking_attempts += event.ranking_attempts;
+    stats.nonterm_attempts += event.nonterm_attempts;
+    injected.work = injected.work.wrapping_add(event.work);
+    injected.pivots = injected.pivots.wrapping_add(event.pivots);
+    tnt_solver::simplex::set_work_deadline(deadline.saturating_sub(injected.pivots));
+    Some(resolutions)
+}
+
+/// Counter values at the start of one SCC's processing (the harvest window),
+/// replayed charges included.
 struct EventStart {
     work: u64,
     pivots: u64,
     ranking_attempts: usize,
     nonterm_attempts: usize,
+}
+
+impl EventStart {
+    fn at(stats: &SolveStats, injected: &Charge) -> EventStart {
+        EventStart {
+            work: work_units().wrapping_add(injected.work),
+            pivots: tnt_solver::simplex::pivot_work().wrapping_add(injected.pivots),
+            ranking_attempts: stats.ranking_attempts,
+            nonterm_attempts: stats.nonterm_attempts,
+        }
+    }
+
+    /// The event record of `resolutions` on the members `ms`, with the
+    /// counter deltas since the start; `None` unless every member resolved.
+    fn finish(
+        self,
+        ms: &[(String, usize, String)],
+        resolutions: &[(String, CaseState)],
+        stats: &SolveStats,
+        injected: &Charge,
+    ) -> Option<EventRecord> {
+        let outcomes: Vec<(String, usize, CaseStatus)> = resolutions
+            .iter()
+            .filter_map(|(pre, state)| {
+                let (r, i, _) = ms.iter().find(|(_, _, member)| member == pre)?;
+                Some((r.clone(), *i, CaseStatus::from(state)))
+            })
+            .collect();
+        (outcomes.len() == ms.len()).then(|| EventRecord {
+            members: ms.iter().map(|(r, i, _)| (r.clone(), *i)).collect(),
+            outcomes,
+            work: work_units()
+                .wrapping_add(injected.work)
+                .wrapping_sub(self.work),
+            pivots: tnt_solver::simplex::pivot_work()
+                .wrapping_add(injected.pivots)
+                .wrapping_sub(self.pivots),
+            ranking_attempts: stats.ranking_attempts - self.ranking_attempts,
+            nonterm_attempts: stats.nonterm_attempts - self.nonterm_attempts,
+        })
+    }
 }
 
 /// The post-base-case partition of every definition, as method-tier records.
@@ -633,11 +672,8 @@ fn resolved(theta: &Theta, pre: &str) -> bool {
 /// * every `Term` case has a measure that is bounded and strictly decreasing on every
 ///   internal edge of its case (re-checked through the sound Farkas implication);
 /// * every `Loop` case's unreachability obligations hold under the final definitions.
-pub fn validate(analysis: &ProgramAnalysis, theta: &Theta) -> bool {
-    validate_with_budget(analysis, theta, SolveOptions::default().work_budget)
-}
-
-/// [`validate`] with an explicit work budget — callers that raised
+///
+/// Validation re-runs the provers, so callers that raised
 /// [`SolveOptions::work_budget`] for solving should re-verify under the same
 /// budget, or the re-check fails on budget exhaustion alone.
 pub fn validate_with_budget(analysis: &ProgramAnalysis, theta: &Theta, budget: u64) -> bool {
@@ -730,32 +766,23 @@ fn validate_within_budget(analysis: &ProgramAnalysis, theta: &Theta, budget: u64
             return false;
         }
         if states.iter().any(|s| matches!(s, CaseState::Loop)) {
-            let outcome =
-                prove_nonterm_assuming(scc, &obligations, &resolved_theta, &options, &loop_posts);
+            let outcome = prove_nonterm(scc, &obligations, &resolved_theta, &options, &loop_posts);
             if !outcome.success {
                 // Fall back to recurrent-set synthesis: a `Loop` resolution
                 // produced by that prover may not be re-derivable through the
                 // obligation-coverage argument. The re-synthesized set must
                 // cover the *whole* case guard, which is what the store claims.
-                // The orbit-enriched variant is the last link of the chain,
-                // mirroring the solver's staging: a `Loop` case decided by
-                // harvested atoms is only re-derivable with the same pool.
-                let rec = prove_nonterm_recurrent(
-                    scc,
-                    &graph,
-                    &obligations,
-                    &resolved_theta,
-                    &options,
-                    &loop_posts,
-                )
-                .or_else(|| {
-                    prove_nonterm_recurrent_enriched(
+                // The orbit pool is the last link of the chain, mirroring the
+                // solver's staging: a `Loop` case decided by harvested atoms is
+                // only re-derivable with the same pool.
+                let rec = [Pool::Guards, Pool::Orbit].into_iter().find_map(|pool| {
+                    prove_nonterm_recurrent(
                         scc,
                         &graph,
                         &obligations,
                         &resolved_theta,
-                        &options,
                         &loop_posts,
+                        pool,
                     )
                 });
                 if !rec.map(|o| o.remainder.is_empty()).unwrap_or(false) {
@@ -768,7 +795,7 @@ fn validate_within_budget(analysis: &ProgramAnalysis, theta: &Theta, budget: u64
 }
 
 /// A copy of the store in which every case is re-opened as unknown but keeps its final
-/// guard structure — used by [`validate`] so the re-specialisation sees the same case
+/// guard structure — used by [`validate_with_budget`] so the re-specialisation sees the same case
 /// boundaries the solver ended with.
 fn resolved_view(theta: &Theta) -> Theta {
     // Re-opening is done by rebuilding from scratch with the same guards.
@@ -788,6 +815,10 @@ mod tests {
     use super::*;
     use tnt_lang::frontend;
     use tnt_verify::verify_program;
+
+    fn validate(analysis: &ProgramAnalysis, theta: &Theta) -> bool {
+        validate_with_budget(analysis, theta, SolveOptions::default().work_budget)
+    }
 
     fn run(source: &str) -> (ProgramAnalysis, Theta, SolveStats) {
         let program = frontend(source).unwrap();

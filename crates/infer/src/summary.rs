@@ -33,6 +33,27 @@ impl fmt::Display for CaseStatus {
     }
 }
 
+impl From<&CaseState> for CaseStatus {
+    /// The status a case state is reported as; a still-unknown case is `MayLoop`.
+    fn from(state: &CaseState) -> CaseStatus {
+        match state {
+            CaseState::Term(m) => CaseStatus::Term(m.clone()),
+            CaseState::Loop => CaseStatus::Loop,
+            CaseState::MayLoop | CaseState::Unknown { .. } => CaseStatus::MayLoop,
+        }
+    }
+}
+
+impl From<&CaseStatus> for CaseState {
+    fn from(status: &CaseStatus) -> CaseState {
+        match status {
+            CaseStatus::Term(m) => CaseState::Term(m.clone()),
+            CaseStatus::Loop => CaseState::Loop,
+            CaseStatus::MayLoop => CaseState::MayLoop,
+        }
+    }
+}
+
 /// One case of a method summary.
 #[derive(Clone, Debug)]
 pub struct SummaryCase {
@@ -229,11 +250,7 @@ pub fn summaries(analysis: &ProgramAnalysis, theta: &Theta) -> Vec<MethodSummary
             .iter()
             .map(|c| SummaryCase {
                 guard: c.guard.clone(),
-                status: match &c.state {
-                    CaseState::Term(m) => CaseStatus::Term(m.clone()),
-                    CaseState::Loop => CaseStatus::Loop,
-                    CaseState::MayLoop | CaseState::Unknown { .. } => CaseStatus::MayLoop,
-                },
+                status: CaseStatus::from(&c.state),
             })
             .collect();
         let _ = label;

@@ -101,7 +101,7 @@ pub fn to_dnf(formula: &Formula) -> Vec<Cube> {
     // Per-conversion cube cap. Conversions nest (a negated quantifier projects and
     // re-converts), so the remaining allowance is saved and restored around each
     // top-level entry.
-    let saved = PER_CALL_REMAINING.with(|r| r.replace(CUBE_CAP.with(|c| c.get())));
+    let saved = PER_CALL_REMAINING.with(|r| r.replace(CUBE_CAP));
     let cubes = dnf_of_nnf(&nnf);
     PER_CALL_REMAINING.with(|r| r.set(saved));
     record_cubes(cubes.len() as u64);
@@ -118,20 +118,17 @@ pub fn to_dnf(formula: &Formula) -> Vec<Cube> {
 
 thread_local! {
     static CUBE_WORK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static CUBE_CAP: std::cell::Cell<u64> = const { std::cell::Cell::new(50_000) };
     static PER_CALL_REMAINING: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
     static CAP_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Sets the per-conversion cube cap for this thread and returns the old value.
+/// The per-conversion cube cap.
 ///
 /// A single [`to_dnf`] call that would produce more than this many cubes is
 /// abandoned and over-approximated by the TRUE cube (see [`to_dnf`]); the event
-/// is visible through [`cap_events`]. The default (50k cubes) is far above
-/// anything a within-budget analysis produces.
-pub fn set_cube_cap(cap: u64) -> u64 {
-    CUBE_CAP.with(|c| c.replace(cap))
-}
+/// is visible through [`cap_events`]. 50k cubes is far above anything a
+/// within-budget analysis produces.
+const CUBE_CAP: u64 = 50_000;
 
 /// Monotone per-thread count of conversions abandoned at the cube cap.
 ///

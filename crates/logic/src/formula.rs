@@ -48,16 +48,6 @@ impl From<Constraint> for Formula {
 }
 
 impl Formula {
-    /// The true formula.
-    pub fn tt() -> Formula {
-        Formula::True
-    }
-
-    /// The false formula.
-    pub fn ff() -> Formula {
-        Formula::False
-    }
-
     /// Smart conjunction: flattens nested conjunctions and drops `true` units.
     pub fn and(parts: Vec<Formula>) -> Formula {
         let mut flat = Vec::new();
@@ -97,11 +87,6 @@ impl Formula {
             1 => flat.pop().expect("len checked"),
             _ => Formula::Or(flat),
         }
-    }
-
-    /// Smart binary disjunction.
-    pub fn or2(self, other: Formula) -> Formula {
-        Formula::or(vec![self, other])
     }
 
     /// Smart negation (eliminates double negation and constant operands).
@@ -193,13 +178,6 @@ impl Formula {
                 }
             }
         }
-    }
-
-    /// Applies a sequence of substitutions left to right.
-    pub fn substitute_all(&self, substitutions: &[(String, Lin)]) -> Formula {
-        substitutions
-            .iter()
-            .fold(self.clone(), |acc, (v, by)| acc.substitute(v, by))
     }
 
     /// Renames a free variable.

@@ -139,11 +139,6 @@ pub fn prune(formula: &Formula) -> Formula {
     }
 }
 
-/// Conjoins two formulas and prunes the result.
-pub fn and_pruned(a: &Formula, b: &Formula) -> Formula {
-    prune(&a.clone().and2(b.clone()))
-}
-
 /// Returns `Some(constraints)` when the formula is a plain conjunction of atoms
 /// (after simplification), which is how most inferred guards look.
 pub fn as_conjunction(formula: &Formula) -> Option<Vec<Constraint>> {

@@ -245,11 +245,6 @@ impl Ineq {
         &self.expr
     }
 
-    /// Consumes the inequality and returns the underlying expression.
-    pub fn into_expr(self) -> Lin {
-        self.expr
-    }
-
     /// Substitutes a variable by an expression on the underlying expression.
     pub fn substitute(&self, var: &str, by: &Lin) -> Ineq {
         Ineq::ge_zero(self.expr.substitute(var, by))

@@ -147,11 +147,6 @@ impl LpProblem {
         self.vars.len()
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Solves the program. Without an objective this is a pure feasibility check.
     pub fn solve(&self) -> LpSolution {
         // Map each named variable onto one or two standard-form columns.

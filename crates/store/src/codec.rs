@@ -20,8 +20,8 @@
 use std::collections::BTreeMap;
 use tnt_infer::solve::SolveStats;
 use tnt_infer::{
-    AnalysisResult, CaseOutcome, CaseSnapshot, CaseStatus, EventRecord, MethodRecord,
-    MethodSummary, Precondition, PreconditionKind, RootRecord, SummaryCase,
+    AnalysisResult, CaseSnapshot, CaseStatus, EventRecord, MethodRecord, MethodSummary,
+    Precondition, PreconditionKind, RootRecord, SummaryCase,
 };
 use tnt_logic::{Constraint, Formula, RelOp};
 use tnt_solver::{Lin, MeasureItem, Rational};
@@ -144,9 +144,8 @@ fn put_measure(out: &mut Vec<u8>, item: &MeasureItem) {
     }
 }
 
-fn put_case(out: &mut Vec<u8>, case: &SummaryCase) {
-    put_formula(out, &case.guard);
-    match &case.status {
+fn put_status(out: &mut Vec<u8>, status: &CaseStatus) {
+    match status {
         CaseStatus::Term(measures) => {
             put_u8(out, 0);
             put_u32(out, measures.len() as u32);
@@ -157,6 +156,11 @@ fn put_case(out: &mut Vec<u8>, case: &SummaryCase) {
         CaseStatus::Loop => put_u8(out, 1),
         CaseStatus::MayLoop => put_u8(out, 2),
     }
+}
+
+fn put_case(out: &mut Vec<u8>, case: &SummaryCase) {
+    put_formula(out, &case.guard);
+    put_status(out, &case.status);
 }
 
 fn put_summary(out: &mut Vec<u8>, summary: &MethodSummary) {
@@ -235,16 +239,7 @@ pub fn encode_method_record(record: &MethodRecord) -> Vec<u8> {
         for (root, index, outcome) in &event.outcomes {
             put_str(&mut out, root);
             put_u64(&mut out, *index as u64);
-            match outcome {
-                CaseOutcome::Term(measures) => {
-                    put_u8(&mut out, 0);
-                    put_u32(&mut out, measures.len() as u32);
-                    for m in measures {
-                        put_measure(&mut out, m);
-                    }
-                }
-                CaseOutcome::Loop => put_u8(&mut out, 1),
-            }
+            put_status(&mut out, outcome);
         }
         put_u64(&mut out, event.work);
         put_u64(&mut out, event.pivots);
@@ -408,9 +403,8 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn case(&mut self) -> Result<SummaryCase, DecodeError> {
-        let guard = self.formula(0)?;
-        let status = match self.u8()? {
+    fn status(&mut self) -> Result<CaseStatus, DecodeError> {
+        Ok(match self.u8()? {
             0 => {
                 let n = self.count(1)?;
                 let mut measures = Vec::with_capacity(n);
@@ -422,23 +416,13 @@ impl<'a> Reader<'a> {
             1 => CaseStatus::Loop,
             2 => CaseStatus::MayLoop,
             other => return Err(format!("invalid case-status tag {other}")),
-        };
-        Ok(SummaryCase { guard, status })
+        })
     }
 
-    fn case_outcome(&mut self) -> Result<CaseOutcome, DecodeError> {
-        Ok(match self.u8()? {
-            0 => {
-                let n = self.count(1)?;
-                let mut measures = Vec::with_capacity(n);
-                for _ in 0..n {
-                    measures.push(self.measure()?);
-                }
-                CaseOutcome::Term(measures)
-            }
-            1 => CaseOutcome::Loop,
-            other => return Err(format!("invalid case-outcome tag {other}")),
-        })
+    fn case(&mut self) -> Result<SummaryCase, DecodeError> {
+        let guard = self.formula(0)?;
+        let status = self.status()?;
+        Ok(SummaryCase { guard, status })
     }
 
     fn root_record(&mut self) -> Result<RootRecord, DecodeError> {
@@ -466,7 +450,12 @@ impl<'a> Reader<'a> {
         for _ in 0..outcome_count {
             let root = self.str()?;
             let index = self.u64()? as usize;
-            let outcome = self.case_outcome()?;
+            // A replayable event resolves cases by proof only; `MayLoop`
+            // arises from exhaustion and is never recorded.
+            let outcome = match self.status()? {
+                CaseStatus::MayLoop => return Err("method-record outcome is MayLoop".to_string()),
+                status => status,
+            };
             outcomes.push((root, index, outcome));
         }
         Ok(EventRecord {
@@ -754,9 +743,9 @@ mod tests {
                         (
                             "Upr_even#0".to_string(),
                             1,
-                            CaseOutcome::Term(vec![MeasureItem::Affine(x())]),
+                            CaseStatus::Term(vec![MeasureItem::Affine(x())]),
                         ),
-                        ("Upr_odd#0".to_string(), 0, CaseOutcome::Loop),
+                        ("Upr_odd#0".to_string(), 0, CaseStatus::Loop),
                     ],
                     work: 1234,
                     pivots: 567,
@@ -765,7 +754,7 @@ mod tests {
                 },
                 EventRecord {
                     members: vec![("Upr_even#0".to_string(), 0)],
-                    outcomes: vec![("Upr_even#0".to_string(), 0, CaseOutcome::Term(vec![]))],
+                    outcomes: vec![("Upr_even#0".to_string(), 0, CaseStatus::Term(vec![]))],
                     work: 0,
                     pivots: 0,
                     ranking_attempts: 0,
@@ -781,6 +770,15 @@ mod tests {
         let bytes = encode_method_record(&original);
         let decoded = decode_method_record(&bytes).expect("decodes");
         assert_eq!(decoded, original);
+    }
+
+    #[test]
+    fn method_record_outcome_may_not_be_mayloop() {
+        let mut record = rich_method_record();
+        record.events[1].outcomes[0].2 = CaseStatus::MayLoop;
+        let bytes = encode_method_record(&record);
+        let error = decode_method_record(&bytes).expect_err("a MayLoop outcome is malformed");
+        assert!(error.contains("MayLoop"), "{error}");
     }
 
     #[test]

@@ -741,7 +741,7 @@ mod tests {
     }
 
     fn sample_method_record() -> MethodRecord {
-        use tnt_infer::{CaseOutcome, CaseSnapshot, EventRecord, RootRecord};
+        use tnt_infer::{CaseSnapshot, CaseStatus, EventRecord, RootRecord};
         MethodRecord {
             methods: vec!["leaf".to_string()],
             roots: vec![RootRecord {
@@ -759,7 +759,7 @@ mod tests {
             }],
             events: vec![EventRecord {
                 members: vec![("Upr_leaf#0".to_string(), 1)],
-                outcomes: vec![("Upr_leaf#0".to_string(), 1, CaseOutcome::Loop)],
+                outcomes: vec![("Upr_leaf#0".to_string(), 1, CaseStatus::Loop)],
                 work: 42,
                 pivots: 17,
                 ranking_attempts: 3,

@@ -73,13 +73,6 @@ pub struct ProgramAnalysis {
     pub spec_env: SpecEnv,
 }
 
-impl ProgramAnalysis {
-    /// All analyses belonging to one method (one per unknown scenario).
-    pub fn for_method(&self, name: &str) -> Vec<&MethodAnalysis> {
-        self.methods.values().filter(|a| a.method == name).collect()
-    }
-}
-
 /// Verifies a program, producing assumption sets for every unknown scenario.
 ///
 /// # Errors
@@ -520,7 +513,13 @@ impl Exec<'_> {
                 &antecedent,
                 same_scc,
             ) {
-                return result.into_iter().collect();
+                return result
+                    .into_iter()
+                    .map(|(mut state, value)| {
+                        self.havoc_ref_params(&mut state, &callee, args);
+                        (state, value)
+                    })
+                    .collect();
             }
         }
 
@@ -700,9 +699,6 @@ impl Exec<'_> {
             }
         }
 
-        // Havoc by-reference arguments.
-        let args_placeholder: Vec<Expr> = Vec::new();
-        let _ = args_placeholder;
         Some(vec![(state, result)])
     }
 

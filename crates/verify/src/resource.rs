@@ -31,11 +31,6 @@ impl ExtNat {
         ExtNat::Fin(0)
     }
 
-    /// Returns `true` for `∞`.
-    pub fn is_infinite(&self) -> bool {
-        matches!(self, ExtNat::Inf)
-    }
-
     /// The lower-bound subtraction `−L`: `min { r ∈ ℕ∞ | r + rhs ≥ self }`.
     ///
     /// In particular `∞ −L ∞ = 0`.

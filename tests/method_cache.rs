@@ -118,3 +118,52 @@ fn identical_resubmission_stays_a_program_tier_hit() {
     assert_eq!(again[0].tier, Some(CacheTier::Memory));
     assert_eq!(again[0].method_hits, 0);
 }
+
+/// Every method record the five corpora produce replays to the cold result.
+/// Appending an unrelated leaf method to a program leaves every other SCC key
+/// unchanged, so each SCC recorded on the first pass is a method-tier hit on
+/// the re-send; the replayed results must equal a cold session's on the same
+/// re-sent programs, field for field.
+#[test]
+fn every_corpus_method_record_replays_to_the_cold_result() {
+    use hiptnt::suite::{crafted, crafted_lit, integer_loops, memory_alloca, numeric};
+    let sources: Vec<String> = [
+        crafted(),
+        crafted_lit(),
+        numeric(),
+        memory_alloca(),
+        integer_loops(),
+    ]
+    .into_iter()
+    .flat_map(|suite| suite.programs.into_iter().map(|p| p.source))
+    .collect();
+    let probed: Vec<String> = sources
+        .iter()
+        .map(|s| format!("{s}\nvoid zz_replay_probe(int x) {{ return; }}"))
+        .collect();
+    fn refs(sources: &[String]) -> Vec<&str> {
+        sources.iter().map(String::as_str).collect()
+    }
+
+    let warm = AnalysisSession::new(InferOptions::default());
+    warm.analyze_batch(&refs(&sources));
+    let replayed = warm.analyze_batch(&refs(&probed));
+    let cold = AnalysisSession::new(InferOptions::default()).analyze_batch(&refs(&probed));
+
+    let method_hits: u64 = replayed.iter().map(|e| e.method_hits).sum();
+    assert!(method_hits > 0, "the re-sends must replay method records");
+    for ((source, warm), cold) in probed.iter().zip(&replayed).zip(&cold) {
+        let (Ok(w), Ok(c)) = (&warm.result, &cold.result) else {
+            assert_eq!(warm.result.is_ok(), cold.result.is_ok(), "{source}");
+            continue;
+        };
+        assert_eq!(rendered(warm), rendered(cold), "{source}");
+        assert_eq!(
+            format!("{:?}", w.stats),
+            format!("{:?}", c.stats),
+            "{source}"
+        );
+        assert_eq!(w.validated, c.validated, "{source}");
+        assert_eq!(w.poisoned, c.poisoned, "{source}");
+    }
+}

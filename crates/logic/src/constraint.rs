@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use tnt_solver::{Ineq, Lin, Rational};
 
 /// Canonical relational operator of a [`Constraint`] (always compared against zero).
@@ -28,6 +29,10 @@ pub enum RelOp {
 
 /// A canonical linear integer constraint `expr (≥|=|≠) 0`.
 ///
+/// The expression is shared: cloning a constraint (as the DNF And-distribution
+/// does for every atom of every product cube) copies a pointer, not the
+/// coefficient map.
+///
 /// # Examples
 ///
 /// ```
@@ -40,17 +45,14 @@ pub enum RelOp {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Constraint {
-    expr: Lin,
+    expr: Arc<Lin>,
     op: RelOp,
 }
 
 impl Constraint {
     /// `lhs ≥ rhs`
     pub fn ge(lhs: Lin, rhs: Lin) -> Self {
-        Constraint {
-            expr: lhs.sub(&rhs),
-            op: RelOp::Ge,
-        }
+        Constraint::from_parts(lhs.sub(&rhs), RelOp::Ge)
     }
 
     /// `lhs ≤ rhs`
@@ -60,10 +62,7 @@ impl Constraint {
 
     /// `lhs > rhs` (canonicalised to `lhs − rhs − 1 ≥ 0` by integrality)
     pub fn gt(lhs: Lin, rhs: Lin) -> Self {
-        Constraint {
-            expr: lhs.sub(&rhs).add_const(-Rational::one()),
-            op: RelOp::Ge,
-        }
+        Constraint::from_parts(lhs.sub(&rhs).add_const(-Rational::one()), RelOp::Ge)
     }
 
     /// `lhs < rhs` (canonicalised to `rhs − lhs − 1 ≥ 0` by integrality)
@@ -73,23 +72,20 @@ impl Constraint {
 
     /// `lhs = rhs`
     pub fn eq(lhs: Lin, rhs: Lin) -> Self {
-        Constraint {
-            expr: lhs.sub(&rhs),
-            op: RelOp::Eq,
-        }
+        Constraint::from_parts(lhs.sub(&rhs), RelOp::Eq)
     }
 
     /// `lhs ≠ rhs`
     pub fn ne(lhs: Lin, rhs: Lin) -> Self {
-        Constraint {
-            expr: lhs.sub(&rhs),
-            op: RelOp::Ne,
-        }
+        Constraint::from_parts(lhs.sub(&rhs), RelOp::Ne)
     }
 
     /// Builds a constraint directly from a canonical expression and operator.
     pub fn from_parts(expr: Lin, op: RelOp) -> Self {
-        Constraint { expr, op }
+        Constraint {
+            expr: Arc::new(expr),
+            op,
+        }
     }
 
     /// The canonical expression compared against zero.
@@ -109,18 +105,12 @@ impl Constraint {
 
     /// Substitutes a variable by an affine expression.
     pub fn substitute(&self, var: &str, by: &Lin) -> Constraint {
-        Constraint {
-            expr: self.expr.substitute(var, by),
-            op: self.op,
-        }
+        Constraint::from_parts(self.expr.substitute(var, by), self.op)
     }
 
     /// Renames a variable.
     pub fn rename(&self, from: &str, to: &str) -> Constraint {
-        Constraint {
-            expr: self.expr.rename(from, to),
-            op: self.op,
-        }
+        Constraint::from_parts(self.expr.rename(from, to), self.op)
     }
 
     /// The logical negation of the constraint, as a disjunction of constraints
@@ -128,21 +118,20 @@ impl Constraint {
     pub fn negate(&self) -> Vec<Constraint> {
         match self.op {
             // ¬(e ≥ 0)  ⇔  e ≤ -1  ⇔  -e - 1 ≥ 0
-            RelOp::Ge => vec![Constraint {
-                expr: self
-                    .expr
+            RelOp::Ge => vec![Constraint::from_parts(
+                self.expr
                     .scale(-Rational::one())
                     .add_const(-Rational::one()),
-                op: RelOp::Ge,
-            }],
+                RelOp::Ge,
+            )],
             // ¬(e = 0)  ⇔  e ≠ 0
             RelOp::Eq => vec![Constraint {
-                expr: self.expr.clone(),
+                expr: Arc::clone(&self.expr),
                 op: RelOp::Ne,
             }],
             // ¬(e ≠ 0)  ⇔  e = 0
             RelOp::Ne => vec![Constraint {
-                expr: self.expr.clone(),
+                expr: Arc::clone(&self.expr),
                 op: RelOp::Eq,
             }],
         }
@@ -155,17 +144,13 @@ impl Constraint {
             return None;
         }
         Some([
-            Constraint {
-                expr: self.expr.add_const(-Rational::one()),
-                op: RelOp::Ge,
-            },
-            Constraint {
-                expr: self
-                    .expr
+            Constraint::from_parts(self.expr.add_const(-Rational::one()), RelOp::Ge),
+            Constraint::from_parts(
+                self.expr
                     .scale(-Rational::one())
                     .add_const(-Rational::one()),
-                op: RelOp::Ge,
-            },
+                RelOp::Ge,
+            ),
         ])
     }
 
@@ -210,7 +195,11 @@ impl Constraint {
             denom_lcm = lcm(denom_lcm, c.denom());
         }
         denom_lcm = lcm(denom_lcm, self.expr.constant_term().denom());
-        let scaled = self.expr.scale(Rational::from(denom_lcm));
+        let scaled = if denom_lcm == 1 {
+            Arc::clone(&self.expr)
+        } else {
+            Arc::new(self.expr.scale(Rational::from(denom_lcm)))
+        };
 
         let mut g: i128 = 0;
         for (_, c) in scaled.terms() {
@@ -229,21 +218,21 @@ impl Constraint {
                 if constant % g != 0 {
                     return None;
                 }
-                Some(Constraint {
-                    expr: scaled.scale(Rational::new(1, g)),
-                    op: RelOp::Eq,
-                })
+                Some(Constraint::from_parts(
+                    scaled.scale(Rational::new(1, g)),
+                    RelOp::Eq,
+                ))
             }
             RelOp::Ge => {
                 // (g·e' + k ≥ 0) ⇔ (e' ≥ ⌈-k/g⌉) ⇔ (e' + ⌊k/g⌋ ≥ 0)
                 let vars_part = scaled.sub(&Lin::constant(scaled.constant_term()));
                 let tightened = Rational::new(constant, g).floor();
-                Some(Constraint {
-                    expr: vars_part
+                Some(Constraint::from_parts(
+                    vars_part
                         .scale(Rational::new(1, g))
                         .add_const(Rational::from(tightened)),
-                    op: RelOp::Ge,
-                })
+                    RelOp::Ge,
+                ))
             }
             RelOp::Ne => Some(Constraint {
                 expr: scaled,
@@ -256,8 +245,8 @@ impl Constraint {
     /// be represented as a conjunction of inequalities and yield `None`.
     pub fn to_ineqs(&self) -> Option<Vec<Ineq>> {
         match self.op {
-            RelOp::Ge => Some(vec![Ineq::ge_zero(self.expr.clone())]),
-            RelOp::Eq => Some(Ineq::eq_zero(self.expr.clone()).to_vec()),
+            RelOp::Ge => Some(vec![Ineq::ge_zero(Lin::clone(&self.expr))]),
+            RelOp::Eq => Some(Ineq::eq_zero(Lin::clone(&self.expr)).to_vec()),
             RelOp::Ne => None,
         }
     }

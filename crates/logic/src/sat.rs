@@ -24,9 +24,9 @@ use tnt_solver::Lin;
 pub fn cube_sat(cube: &Cube) -> bool {
     let mut ges: Vec<Lin> = Vec::new();
     let mut eqs: Vec<Lin> = Vec::new();
-    let mut pending_ne: Vec<Constraint> = Vec::new();
+    let mut first_ne: Option<(usize, Constraint)> = None;
 
-    for constraint in cube {
+    for (index, constraint) in cube.iter().enumerate() {
         let Some(normalised) = constraint.normalise() else {
             return false; // e.g. 2x = 1
         };
@@ -39,16 +39,19 @@ pub fn cube_sat(cube: &Cube) -> bool {
         match normalised.op() {
             RelOp::Ge => ges.push(normalised.expr().clone()),
             RelOp::Eq => eqs.push(normalised.expr().clone()),
-            RelOp::Ne => pending_ne.push(normalised),
+            RelOp::Ne => {
+                first_ne.get_or_insert((index, normalised));
+            }
         }
     }
 
-    if !pending_ne.is_empty() {
+    if let Some((index, ne)) = first_ne {
         // Defensive: cubes produced by `to_dnf` have no ≠ atoms, but direct callers may
-        // hand us one. Split the first and recurse on both halves.
-        let first = pending_ne[0].clone();
-        let rest: Cube = cube.iter().filter(|c| **c != first).cloned().collect();
-        let [a, b] = first.split_ne().expect("op is Ne");
+        // hand us one. Split the first and recurse on both halves. The atom is removed
+        // by position: its normalised form may differ from the original.
+        let mut rest = cube.clone();
+        rest.remove(index);
+        let [a, b] = ne.split_ne().expect("op is Ne");
         let mut with_a = rest.clone();
         with_a.push(a);
         let mut with_b = rest;
@@ -180,6 +183,20 @@ mod tests {
             Constraint::ne(Lin::var("x"), n(5)),
             Constraint::ge(Lin::var("x"), n(5)),
             Constraint::le(Lin::var("x"), n(5)),
+        ];
+        assert!(!cube_sat(&cube));
+    }
+
+    /// A fractional `≠` atom normalises to a different atom; splitting it must
+    /// still remove the original, or the recursion never ends.
+    #[test]
+    fn cube_sat_splits_a_fractional_ne() {
+        let half_x = Lin::var("x").scale(Rational::new(1, 2));
+        let cube = vec![Constraint::ne(half_x.clone(), n(1))];
+        assert!(cube_sat(&cube));
+        let cube = vec![
+            Constraint::ne(half_x, n(1)),
+            Constraint::eq(Lin::var("x"), n(2)),
         ];
         assert!(!cube_sat(&cube));
     }

@@ -6,7 +6,7 @@
 
 use crate::linear::Lin;
 use crate::rational::Rational;
-use crate::simplex::{self, RowOp, SimplexOutcome, StandardForm};
+use crate::simplex::{self, RowOp, RowTerms, SimplexOutcome, StandardForm};
 use std::collections::BTreeMap;
 
 /// Sign restriction of an LP variable.
@@ -171,47 +171,47 @@ impl LpProblem {
         }
         let num_cols = next;
 
-        let lower = |lin: &Lin| -> (Vec<Rational>, Rational) {
-            let mut coeffs = vec![Rational::zero(); num_cols];
+        // The non-zero standard-form terms of `lin`, plus its constant.
+        let lower = |lin: &Lin| -> (RowTerms, Rational) {
+            let mut terms = Vec::new();
             for (v, c) in lin.terms() {
                 match slots[v] {
-                    Slot::Single(i) => coeffs[i] += c,
+                    Slot::Single(i) => terms.push((i, c)),
                     Slot::Split(p, n) => {
-                        coeffs[p] += c;
-                        coeffs[n] -= c;
+                        terms.push((p, c));
+                        terms.push((n, -c));
                     }
                 }
             }
-            (coeffs, lin.constant_term())
+            (terms, lin.constant_term())
         };
 
-        let mut rows = Vec::new();
+        let mut rows = Vec::with_capacity(self.constraints.len());
         for (lhs, op, rhs) in &self.constraints {
             let diff = lhs.sub(rhs);
-            let (coeffs, constant) = lower(&diff);
-            // lhs op rhs  ⇔  diff op 0  ⇔  Σ coeffs · x  op  -constant
+            let (terms, constant) = lower(&diff);
+            // lhs op rhs  ⇔  diff op 0  ⇔  Σ terms · x  op  -constant
             let row_op = match op {
                 Cmp::Le => RowOp::Le,
                 Cmp::Ge => RowOp::Ge,
                 Cmp::Eq => RowOp::Eq,
             };
-            rows.push((coeffs, row_op, -constant));
+            rows.push((terms, row_op, -constant));
         }
 
-        let (objective_coeffs, direction, objective_const) = match &self.objective {
+        let mut minimise_coeffs = vec![Rational::zero(); num_cols];
+        let (direction, objective_const) = match &self.objective {
             Some((expr, dir)) => {
-                let (coeffs, constant) = lower(expr);
-                (coeffs, *dir, constant)
+                let (terms, constant) = lower(expr);
+                for (i, c) in terms {
+                    minimise_coeffs[i] = match dir {
+                        Direction::Minimise => c,
+                        Direction::Maximise => -c,
+                    };
+                }
+                (*dir, constant)
             }
-            None => (
-                vec![Rational::zero(); num_cols],
-                Direction::Minimise,
-                Rational::zero(),
-            ),
-        };
-        let minimise_coeffs: Vec<Rational> = match direction {
-            Direction::Minimise => objective_coeffs.clone(),
-            Direction::Maximise => objective_coeffs.iter().map(|c| -*c).collect(),
+            None => (Direction::Minimise, Rational::zero()),
         };
 
         let program = StandardForm {

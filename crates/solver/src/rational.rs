@@ -183,13 +183,37 @@ fn div_to_f64(n: u128, d: u128) -> f64 {
     mantissa as f64 * scale
 }
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
+/// Greatest common divisor of the magnitudes: a binary (Stein) gcd on `u64`
+/// when both fit, Euclid on `u128` otherwise.
+fn gcd(a: i128, b: i128) -> i128 {
+    let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
+    match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => binary_gcd(a, b) as i128,
+        _ => euclid_gcd(a, b) as i128,
+    }
+}
+
+fn binary_gcd(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+fn euclid_gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        (a, b) = (b, a % b);
     }
     a
 }
@@ -202,6 +226,9 @@ impl Rational {
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Self {
         assert!(den != 0, "rational with zero denominator");
+        if den == 1 {
+            return Rational { num, den };
+        }
         let mut num = num;
         let mut den = den;
         if den < 0 {
@@ -271,7 +298,18 @@ impl Rational {
     /// Panics if the value is zero.
     pub fn recip(&self) -> Self {
         assert!(self.num != 0, "reciprocal of zero");
-        Rational::new(self.den, self.num)
+        // `num / den` is already coprime: only the sign moves.
+        if self.num < 0 {
+            Rational {
+                num: -self.den,
+                den: -self.num,
+            }
+        } else {
+            Rational {
+                num: self.den,
+                den: self.num,
+            }
+        }
     }
 
     /// Floor of the rational as an integer.
@@ -318,6 +356,13 @@ impl Rational {
     }
 
     fn checked_add(&self, other: &Self) -> Self {
+        // Integer fast path. On overflow fall through: the general path below
+        // overflows on the same operands and saturates.
+        if self.den == 1 && other.den == 1 {
+            if let Some(num) = self.num.checked_add(other.num) {
+                return Rational { num, den: 1 };
+            }
+        }
         let g = gcd(self.den, other.den);
         let lcm_part = other.den / g;
         let exact = (|| {
@@ -342,12 +387,20 @@ impl Rational {
     }
 
     fn checked_mul(&self, other: &Self) -> Self {
+        // Integer fast path, with the same overflow behaviour as `checked_add`.
+        if self.den == 1 && other.den == 1 {
+            if let Some(num) = self.num.checked_mul(other.num) {
+                return Rational { num, den: 1 };
+            }
+        }
         let g1 = gcd(self.num, other.den);
         let g2 = gcd(other.num, self.den);
         let exact = (|| {
             let num = (self.num / g1).checked_mul(other.num / g2)?;
             let den = (self.den / g2).checked_mul(other.den / g1)?;
-            Some(Rational::new(num, den))
+            // Both operands are coprime and the cross factors are cancelled,
+            // so the product is already in lowest terms with `den > 0`.
+            Some(Rational { num, den })
         })();
         // Sign of a/b * c/d is the sign of a*c — the operand-sign XOR is already
         // exact on this path (a zero numerator forces den = 1 and cannot
@@ -776,6 +829,157 @@ mod tests {
             if !a.is_zero() {
                 assert_eq!(a.recip().recip(), a);
             }
+        }
+    }
+
+    /// Plain Euclid on magnitudes: the reference the kernel's gcd must match.
+    fn reference_gcd(a: i128, b: i128) -> i128 {
+        let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
+        }
+        a as i128
+    }
+
+    /// A magnitude near one of the kernel's boundaries: `u64::MAX`,
+    /// `i64::MAX`, the `i128` overflow edge, or a small value.
+    fn boundary_magnitude(rng: &mut SmallRng) -> i128 {
+        let edge = match rng.gen_range(0u32..5) {
+            0 => u64::MAX as i128,
+            1 => i64::MAX as i128,
+            2 => i128::MAX,
+            3 => 1 << 64,
+            _ => 0,
+        };
+        let offset = rng.gen_range(0i128..1 << 20);
+        if edge == i128::MAX {
+            edge - offset
+        } else if edge == 0 {
+            offset
+        } else if rng.gen_range(0u32..2) == 0 {
+            edge - offset
+        } else {
+            edge + offset
+        }
+    }
+
+    fn boundary_integer(rng: &mut SmallRng) -> i128 {
+        let magnitude = boundary_magnitude(rng);
+        if rng.gen_range(0u32..2) == 0 {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    fn boundary_rational(rng: &mut SmallRng) -> Rational {
+        let num = boundary_integer(rng);
+        let den = match rng.gen_range(0u32..3) {
+            0 => 1,
+            1 => rng.gen_range(1i128..1000),
+            _ => boundary_magnitude(rng).max(1),
+        };
+        Rational::new(num, den)
+    }
+
+    /// Whether the exact sum `a + b` fits in `i128`, computed on 64-bit halves.
+    fn sum_fits(a: i128, b: i128) -> bool {
+        let low = (a as u64 as u128) + (b as u64 as u128);
+        let high = (a >> 64) + (b >> 64) + (low >> 64) as i128;
+        i64::try_from(high).is_ok()
+    }
+
+    /// Whether the exact product `a * b` fits in `i128`, from its 256-bit
+    /// magnitude.
+    fn product_fits(a: i128, b: i128) -> bool {
+        let (hi, lo) = wide_mul(a.unsigned_abs(), b.unsigned_abs());
+        let negative = (a < 0) != (b < 0);
+        hi == 0 && (lo <= i128::MAX as u128 || (negative && lo == 1 << 127))
+    }
+
+    #[test]
+    fn prop_gcd_matches_euclid_across_the_u64_boundary() {
+        let mut rng = SmallRng::seed_from_u64(0x4A708);
+        for _ in 0..2048 {
+            let (a, b) = (boundary_integer(&mut rng), boundary_integer(&mut rng));
+            let g = rng.gen_range(1i128..1 << 16);
+            for (x, y) in [(a, b), (a / g * g, b / g * g), (a, 0), (0, b)] {
+                assert_eq!(super::gcd(x, y), reference_gcd(x, y), "gcd({x}, {y})");
+            }
+        }
+    }
+
+    #[test]
+    fn prop_results_stay_normalised_at_the_boundaries() {
+        let mut rng = SmallRng::seed_from_u64(0x4A709);
+        let normalised = |x: Rational| {
+            assert!(x.denom() > 0, "denominator must stay positive: {x:?}");
+            assert_eq!(
+                reference_gcd(x.numer(), x.denom()),
+                if x.is_zero() { x.denom() } else { 1 },
+                "numerator and denominator must stay coprime: {x:?}"
+            );
+        };
+        for _ in 0..2048 {
+            let (a, b) = (boundary_rational(&mut rng), boundary_rational(&mut rng));
+            normalised(a);
+            normalised(a + b);
+            normalised(a - b);
+            normalised(a * b);
+            if !b.is_zero() {
+                normalised(a / b);
+                normalised(b.recip());
+            }
+        }
+    }
+
+    #[test]
+    fn prop_integer_overflow_is_recorded_exactly_when_the_result_does_not_fit() {
+        let mut rng = SmallRng::seed_from_u64(0x4A70A);
+        let (mut sums_overflowed, mut products_overflowed) = (0, 0);
+        for _ in 0..2048 {
+            let (a, b) = (boundary_integer(&mut rng), boundary_integer(&mut rng));
+            let (x, y) = (Rational::from(a), Rational::from(b));
+
+            let before = overflow_work();
+            let sum = x + y;
+            let moved = overflow_work() - before;
+            if sum_fits(a, b) {
+                assert_eq!(moved, 0, "{a} + {b} fits but was recorded");
+                assert_eq!(sum, Rational::from(a + b));
+            } else {
+                assert_eq!(moved, 1, "{a} + {b} overflows but was not recorded");
+                sums_overflowed += 1;
+            }
+
+            let before = overflow_work();
+            let product = x * y;
+            let moved = overflow_work() - before;
+            if product_fits(a, b) {
+                assert_eq!(moved, 0, "{a} * {b} fits but was recorded");
+                assert_eq!(product, Rational::from(a * b));
+            } else {
+                assert_eq!(moved, 1, "{a} * {b} overflows but was not recorded");
+                products_overflowed += 1;
+            }
+        }
+        assert!(sums_overflowed > 0 && products_overflowed > 0);
+    }
+
+    #[test]
+    fn prop_recip_and_div_of_negative_fractions_swap_the_pair() {
+        let mut rng = SmallRng::seed_from_u64(0x4A70B);
+        for _ in 0..1024 {
+            let num = -rng.gen_range(1i128..1 << 40);
+            let den = rng.gen_range(1i128..1 << 40);
+            let a = Rational::new(num, den);
+            assert!(a.is_negative());
+            assert_eq!(a.recip(), Rational::new(a.denom(), a.numer()));
+            assert_eq!(a.recip(), Rational::new(den, num));
+            let b = Rational::new(rng.gen_range(-1000i128..1000), rng.gen_range(1i128..1000));
+            assert_eq!(b / a, b * Rational::new(a.denom(), a.numer()));
         }
     }
 

@@ -53,13 +53,17 @@ pub enum RowOp {
     Eq,
 }
 
+/// The non-zero coefficients of a standard-form row, as `(column, value)`
+/// pairs with distinct columns; every other coefficient is zero.
+pub type RowTerms = Vec<(usize, Rational)>;
+
 /// A linear program in standard form: minimise `cᵀx` s.t. rows, `x ≥ 0`.
 #[derive(Clone, Debug, Default)]
 pub struct StandardForm {
     /// Number of decision variables (all constrained to be non-negative).
     pub num_vars: usize,
-    /// Constraint rows `(coefficients, op, rhs)`; `coefficients.len() == num_vars`.
-    pub rows: Vec<(Vec<Rational>, RowOp, Rational)>,
+    /// Constraint rows `(terms, op, rhs)`; every term's column is `< num_vars`.
+    pub rows: Vec<(RowTerms, RowOp, Rational)>,
     /// Objective coefficients to minimise; `objective.len() == num_vars`.
     pub objective: Vec<Rational>,
 }
@@ -111,31 +115,35 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn pivot(&mut self, row: usize, col: usize) {
+    /// Pivots on `(row, col)` and returns the pivot row's non-zero entries
+    /// `(column, value)` after scaling, the rhs column included. Every other
+    /// row is updated in those columns only.
+    fn pivot(&mut self, row: usize, col: usize) -> RowTerms {
         record_pivot();
         let pivot_value = self.data[row][col];
         debug_assert!(!pivot_value.is_zero());
         let inv = pivot_value.recip();
-        for value in self.data[row].iter_mut() {
-            *value = *value * inv;
+        let mut nonzero = Vec::new();
+        for (c, value) in self.data[row].iter_mut().enumerate() {
+            if !value.is_zero() {
+                *value = *value * inv;
+                nonzero.push((c, *value));
+            }
         }
-        for r in 0..self.data.len() {
+        for (r, other) in self.data.iter_mut().enumerate() {
             if r == row {
                 continue;
             }
-            let factor = self.data[r][col];
+            let factor = other[col];
             if factor.is_zero() {
                 continue;
             }
-            for c in 0..=self.num_cols {
-                if self.data[row][c].is_zero() {
-                    continue;
-                }
-                let delta = self.data[row][c] * factor;
-                self.data[r][c] -= delta;
+            for &(c, value) in &nonzero {
+                other[c] -= value * factor;
             }
         }
         self.basis[row] = col;
+        nonzero
     }
 
     /// Runs simplex iterations minimising `objective` (one coefficient per column).
@@ -203,15 +211,13 @@ impl Tableau {
                 Some((row, _)) => {
                     in_basis[self.basis[row]] = false;
                     in_basis[col] = true;
-                    self.pivot(row, col);
+                    let nonzero = self.pivot(row, col);
                     // Eliminate the entering column from the reduced-cost row with the
                     // same row operation pivot() applied to every other row.
                     let factor = z[col];
                     if !factor.is_zero() {
-                        for (slot, value) in z.iter_mut().zip(&self.data[row]) {
-                            if !value.is_zero() {
-                                *slot -= *value * factor;
-                            }
+                        for (c, value) in nonzero {
+                            z[c] -= value * factor;
                         }
                     }
                 }
@@ -244,7 +250,7 @@ impl Tableau {
 /// // minimise -x subject to x <= 4 (so the optimum is x = 4, objective -4)
 /// let program = StandardForm {
 ///     num_vars: 1,
-///     rows: vec![(vec![Rational::one()], RowOp::Le, Rational::from(4))],
+///     rows: vec![(vec![(0, Rational::one())], RowOp::Le, Rational::from(4))],
 ///     objective: vec![-Rational::one()],
 /// };
 /// match solve(&program) {
@@ -259,74 +265,65 @@ pub fn solve(program: &StandardForm) -> SimplexOutcome {
     let num_structural = program.num_vars;
     let num_rows = program.rows.len();
 
-    // Count slack and artificial columns.
-    let mut num_slack = 0;
-    for (_, op, _) in &program.rows {
-        match op {
-            RowOp::Le | RowOp::Ge => num_slack += 1,
-            RowOp::Eq => {}
-        }
-    }
-    // Upper bound: one artificial per row. We only materialise the ones we need.
-    let mut columns = num_structural + num_slack;
+    // Normalise every row so its right-hand side is non-negative. A row that
+    // is then `≥` or `=` has no basic slack and needs an artificial column.
+    let effective: Vec<(bool, RowOp)> = program
+        .rows
+        .iter()
+        .map(|(_, op, rhs)| {
+            let flip = rhs.is_negative();
+            let effective_op = match (op, flip) {
+                (RowOp::Le, false) | (RowOp::Ge, true) => RowOp::Le,
+                (RowOp::Ge, false) | (RowOp::Le, true) => RowOp::Ge,
+                (RowOp::Eq, _) => RowOp::Eq,
+            };
+            (flip, effective_op)
+        })
+        .collect();
+    let num_slack = effective.iter().filter(|(_, op)| *op != RowOp::Eq).count();
+    let num_artificial = effective.iter().filter(|(_, op)| *op != RowOp::Le).count();
+    // Columns: structural, then slack in row order, then artificial in row
+    // order (Bland's rule picks by index, so this order fixes the pivots).
+    let columns = num_structural + num_slack + num_artificial;
     let mut data = Vec::with_capacity(num_rows);
     let mut basis = vec![usize::MAX; num_rows];
-    let mut artificial_cols = Vec::new();
+    let mut artificial_cols = Vec::with_capacity(num_artificial);
 
-    let mut slack_index = 0;
-    let mut pending_artificial = Vec::new();
-    for (row_idx, (coeffs, op, rhs)) in program.rows.iter().enumerate() {
-        assert_eq!(
-            coeffs.len(),
-            num_structural,
-            "row has wrong number of coefficients"
-        );
-        // Normalise so the right-hand side is non-negative.
-        let flip = rhs.is_negative();
+    let mut slack = num_structural;
+    let mut next_artificial = num_structural + num_slack;
+    for (row_idx, ((terms, _, rhs), &(flip, effective_op))) in
+        program.rows.iter().zip(&effective).enumerate()
+    {
         let sign = if flip {
             -Rational::one()
         } else {
             Rational::one()
         };
-        let mut row: Vec<Rational> = coeffs.iter().map(|c| *c * sign).collect();
-        row.resize(num_structural + num_slack, Rational::zero());
-        let rhs = *rhs * sign;
-        let effective_op = match (op, flip) {
-            (RowOp::Le, false) | (RowOp::Ge, true) => RowOp::Le,
-            (RowOp::Ge, false) | (RowOp::Le, true) => RowOp::Ge,
-            (RowOp::Eq, _) => RowOp::Eq,
-        };
+        let mut row = vec![Rational::zero(); columns + 1];
+        for &(col, value) in terms {
+            assert!(col < num_structural, "row term outside the variables");
+            row[col] = value * sign;
+        }
+        row[columns] = *rhs * sign;
         match effective_op {
             RowOp::Le => {
-                row[num_structural + slack_index] = Rational::one();
-                basis[row_idx] = num_structural + slack_index;
-                slack_index += 1;
+                row[slack] = Rational::one();
+                basis[row_idx] = slack;
+                slack += 1;
             }
             RowOp::Ge => {
-                row[num_structural + slack_index] = -Rational::one();
-                slack_index += 1;
-                pending_artificial.push(row_idx);
+                row[slack] = -Rational::one();
+                slack += 1;
             }
-            RowOp::Eq => pending_artificial.push(row_idx),
+            RowOp::Eq => {}
         }
-        row.push(rhs);
+        if effective_op != RowOp::Le {
+            row[next_artificial] = Rational::one();
+            basis[row_idx] = next_artificial;
+            artificial_cols.push(next_artificial);
+            next_artificial += 1;
+        }
         data.push(row);
-    }
-
-    // Materialise artificial columns for rows that still lack a basic variable.
-    for &row_idx in &pending_artificial {
-        for row in data.iter_mut() {
-            row.insert(columns, Rational::zero());
-        }
-        for row in data.iter_mut() {
-            let rhs = row.pop().expect("rhs present");
-            row.push(rhs);
-        }
-        // The two loops above kept the rhs as the last element; set the new column.
-        data[row_idx][columns] = Rational::one();
-        basis[row_idx] = columns;
-        artificial_cols.push(columns);
-        columns += 1;
     }
 
     let mut artificial = vec![false; columns];
@@ -394,14 +391,24 @@ mod tests {
         Rational::from(n)
     }
 
+    /// The sparse terms of a dense coefficient row.
+    fn terms(dense: &[Rational]) -> RowTerms {
+        dense
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.is_zero())
+            .map(|(i, c)| (i, *c))
+            .collect()
+    }
+
     #[test]
     fn feasibility_only() {
         // x + y = 3, x <= 2 has solutions with x, y >= 0.
         let program = StandardForm {
             num_vars: 2,
             rows: vec![
-                (vec![r(1), r(1)], RowOp::Eq, r(3)),
-                (vec![r(1), r(0)], RowOp::Le, r(2)),
+                (terms(&[r(1), r(1)]), RowOp::Eq, r(3)),
+                (terms(&[r(1), r(0)]), RowOp::Le, r(2)),
             ],
             objective: vec![r(0), r(0)],
         };
@@ -416,7 +423,10 @@ mod tests {
         // x <= 1 and x >= 2 is infeasible.
         let program = StandardForm {
             num_vars: 1,
-            rows: vec![(vec![r(1)], RowOp::Le, r(1)), (vec![r(1)], RowOp::Ge, r(2))],
+            rows: vec![
+                (terms(&[r(1)]), RowOp::Le, r(1)),
+                (terms(&[r(1)]), RowOp::Ge, r(2)),
+            ],
             objective: vec![r(0)],
         };
         assert!(solve(&program).is_infeasible());
@@ -428,8 +438,8 @@ mod tests {
         let program = StandardForm {
             num_vars: 2,
             rows: vec![
-                (vec![r(1), r(1)], RowOp::Le, r(4)),
-                (vec![r(0), r(1)], RowOp::Le, r(3)),
+                (terms(&[r(1), r(1)]), RowOp::Le, r(4)),
+                (terms(&[r(0), r(1)]), RowOp::Le, r(3)),
             ],
             objective: vec![r(-1), r(-2)],
         };
@@ -451,7 +461,7 @@ mod tests {
         // minimise -x with only x >= 1: unbounded below.
         let program = StandardForm {
             num_vars: 1,
-            rows: vec![(vec![r(1)], RowOp::Ge, r(1))],
+            rows: vec![(terms(&[r(1)]), RowOp::Ge, r(1))],
             objective: vec![r(-1)],
         };
         match solve(&program) {
@@ -465,7 +475,7 @@ mod tests {
         // -x <= -3  means x >= 3.
         let program = StandardForm {
             num_vars: 1,
-            rows: vec![(vec![r(-1)], RowOp::Le, r(-3))],
+            rows: vec![(terms(&[r(-1)]), RowOp::Le, r(-3))],
             objective: vec![r(1)],
         };
         match solve(&program) {
@@ -485,7 +495,7 @@ mod tests {
         // x = 5 (with x >= 0): feasible; minimise x gives 5.
         let program = StandardForm {
             num_vars: 1,
-            rows: vec![(vec![r(1)], RowOp::Eq, r(5))],
+            rows: vec![(terms(&[r(1)]), RowOp::Eq, r(5))],
             objective: vec![r(1)],
         };
         match solve(&program) {
@@ -502,16 +512,16 @@ mod tests {
             num_vars: 4,
             rows: vec![
                 (
-                    vec![Rational::new(1, 4), r(-60), Rational::new(-1, 25), r(9)],
+                    terms(&[Rational::new(1, 4), r(-60), Rational::new(-1, 25), r(9)]),
                     RowOp::Le,
                     r(0),
                 ),
                 (
-                    vec![Rational::new(1, 2), r(-90), Rational::new(-1, 50), r(3)],
+                    terms(&[Rational::new(1, 2), r(-90), Rational::new(-1, 50), r(3)]),
                     RowOp::Le,
                     r(0),
                 ),
-                (vec![r(0), r(0), r(1), r(0)], RowOp::Le, r(1)),
+                (terms(&[r(0), r(0), r(1), r(0)]), RowOp::Le, r(1)),
             ],
             objective: vec![Rational::new(-3, 4), r(150), Rational::new(-1, 50), r(6)],
         };
@@ -529,8 +539,8 @@ mod tests {
         let program = StandardForm {
             num_vars: 2,
             rows: vec![
-                (vec![r(1), r(1)], RowOp::Eq, r(2)),
-                (vec![r(1), r(1)], RowOp::Eq, r(2)),
+                (terms(&[r(1), r(1)]), RowOp::Eq, r(2)),
+                (terms(&[r(1), r(1)]), RowOp::Eq, r(2)),
             ],
             objective: vec![r(0), r(0)],
         };
@@ -542,8 +552,8 @@ mod tests {
         let program = StandardForm {
             num_vars: 2,
             rows: vec![
-                (vec![r(1), r(1)], RowOp::Eq, r(2)),
-                (vec![r(1), r(1)], RowOp::Eq, r(3)),
+                (terms(&[r(1), r(1)]), RowOp::Eq, r(2)),
+                (terms(&[r(1), r(1)]), RowOp::Eq, r(3)),
             ],
             objective: vec![r(0), r(0)],
         };
@@ -552,6 +562,7 @@ mod tests {
 
     mod properties {
         use super::super::*;
+        use super::terms;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
 
@@ -564,13 +575,14 @@ mod tests {
             let num_rows = rng.gen_range(1usize..5);
             let rows = (0..num_rows)
                 .map(|_| {
-                    let coeffs = (0..num_vars).map(|_| r(rng.gen_range(-5i128..6))).collect();
+                    let coeffs: Vec<Rational> =
+                        (0..num_vars).map(|_| r(rng.gen_range(-5i128..6))).collect();
                     let op = match rng.gen_range(0u32..3) {
                         0 => RowOp::Le,
                         1 => RowOp::Ge,
                         _ => RowOp::Eq,
                     };
-                    (coeffs, op, r(rng.gen_range(-10i128..11)))
+                    (terms(&coeffs), op, r(rng.gen_range(-10i128..11)))
                 })
                 .collect();
             let objective = (0..num_vars).map(|_| r(rng.gen_range(-3i128..4))).collect();
@@ -583,11 +595,10 @@ mod tests {
 
         fn satisfies(program: &StandardForm, solution: &[Rational]) -> bool {
             solution.iter().all(|x| *x >= Rational::zero())
-                && program.rows.iter().all(|(coeffs, op, rhs)| {
-                    let lhs = coeffs
+                && program.rows.iter().all(|(terms, op, rhs)| {
+                    let lhs = terms
                         .iter()
-                        .zip(solution)
-                        .fold(Rational::zero(), |acc, (c, x)| acc + *c * *x);
+                        .fold(Rational::zero(), |acc, (i, c)| acc + *c * solution[*i]);
                     match op {
                         RowOp::Le => lhs <= *rhs,
                         RowOp::Ge => lhs >= *rhs,
@@ -637,6 +648,72 @@ mod tests {
                 feasible > 100,
                 "generator produced too few feasible programs"
             );
+        }
+
+        /// Programs with fractional coefficients, negative right-hand sides,
+        /// `Eq` rows and one column that no row uses.
+        fn pinned_program(rng: &mut SmallRng) -> StandardForm {
+            let num_vars = rng.gen_range(3usize..8);
+            let unused = rng.gen_range(0..num_vars);
+            let num_rows = rng.gen_range(1usize..6);
+            let rows = (0..num_rows)
+                .map(|_| {
+                    let terms: RowTerms = (0..num_vars)
+                        .filter(|&col| col != unused)
+                        .filter_map(|col| {
+                            if rng.gen_range(0u32..4) == 0 {
+                                return None;
+                            }
+                            let value =
+                                Rational::new(rng.gen_range(-5i128..7), rng.gen_range(1i128..5));
+                            (!value.is_zero()).then_some((col, value))
+                        })
+                        .collect();
+                    let op = match rng.gen_range(0u32..5) {
+                        0 | 1 => RowOp::Le,
+                        2 | 3 => RowOp::Ge,
+                        _ => RowOp::Eq,
+                    };
+                    let rhs = Rational::new(rng.gen_range(-6i128..13), rng.gen_range(1i128..4));
+                    (terms, op, rhs)
+                })
+                .collect();
+            let objective = (0..num_vars)
+                .map(|_| Rational::new(rng.gen_range(-1i128..5), rng.gen_range(1i128..3)))
+                .collect();
+            StandardForm {
+                num_vars,
+                rows,
+                objective,
+            }
+        }
+
+        /// Pins the pivot sequence: Bland's rule picks columns by index, so a
+        /// changed column layout or a skipped update shows up as a different
+        /// pivot total over a fixed program set. The totals were recorded with
+        /// the dense-row tableau that preceded the sparse one.
+        #[test]
+        fn prop_pinned_pivot_sequence() {
+            let mut rng = SmallRng::seed_from_u64(0x514D03);
+            let before = pivot_work();
+            let mut outcomes = [0usize; 3];
+            for _ in 0..400 {
+                let program = pinned_program(&mut rng);
+                let outcome = solve(&program);
+                match &outcome {
+                    SimplexOutcome::Infeasible => outcomes[0] += 1,
+                    SimplexOutcome::Unbounded { .. } => outcomes[1] += 1,
+                    SimplexOutcome::Optimal { .. } => outcomes[2] += 1,
+                }
+                if let Some(solution) = outcome.solution() {
+                    assert!(
+                        satisfies(&program, solution),
+                        "reported point violates constraints: {program:?} {solution:?}"
+                    );
+                }
+            }
+            assert_eq!(outcomes, [164, 99, 137], "infeasible/unbounded/optimal");
+            assert_eq!(pivot_work() - before, 762, "pivot total moved");
         }
 
         /// The all-zero point satisfying the constraints implies the program is

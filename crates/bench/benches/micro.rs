@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the solving back-end (simplex, entailment, ranking synthesis)
 //! and of its leaf kernels (`kernel/*`: rational arithmetic, the DNF And-product and
-//! a Farkas-shaped LP), which break the cold corpus pass down by kernel.
+//! Farkas-shaped LPs, one small and one wide), which break the cold corpus pass
+//! down by kernel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tnt_logic::{dnf, entail, num, var, Constraint, Formula};
@@ -114,12 +115,22 @@ fn kernel_farkas_lp(c: &mut Criterion) {
     });
 }
 
+/// The wide Farkas-shaped LP of the simplex pin test: 1,000 rows over 3,002
+/// structural columns, at most six non-zeros per row before fill-in.
+fn kernel_farkas_lp_wide(c: &mut Criterion) {
+    let program = tnt_solver::simplex::wide_block_program(1, 125);
+    c.bench_function("kernel/farkas_lp_wide", |b| {
+        b.iter(|| tnt_solver::simplex::solve(black_box(&program)).is_infeasible())
+    });
+}
+
 criterion_group!(
     micro,
     ranking_countdown,
     entailment_query,
     kernel_rational,
     kernel_dnf_product,
-    kernel_farkas_lp
+    kernel_farkas_lp,
+    kernel_farkas_lp_wide
 );
 criterion_main!(micro);

@@ -5,6 +5,17 @@
 //! named-variable interface (including free variables) on top of this module.
 //!
 //! Bland's anti-cycling rule is used throughout, so the method always terminates.
+//!
+//! The tableau is sparse: each row stores only its non-zero coefficients as
+//! column-sorted `(column, value)` pairs, with the right-hand sides in a
+//! column of their own; only the reduced-cost row is dense. A pivot scales the
+//! pivot row's non-zeros and merges `row − factor · pivot_row` into every row
+//! with a non-zero `factor`. Each touched entry is computed as
+//! `old − value · factor`, with an absent `old` read as zero, and an entry that
+//! cancels is dropped. So the same rational operations run on the same operands
+//! as on a dense tableau, and pivots, answers and saturation are those of the
+//! dense method, while the memory is that of the non-zeros: Farkas LPs of a
+//! thousand rows stay under one percent dense.
 
 use crate::rational::Rational;
 use std::cell::Cell;
@@ -54,7 +65,8 @@ pub enum RowOp {
 }
 
 /// The non-zero coefficients of a standard-form row, as `(column, value)`
-/// pairs with distinct columns; every other coefficient is zero.
+/// pairs with distinct columns; every other coefficient is zero. [`solve`]
+/// rejects a row that repeats a column.
 pub type RowTerms = Vec<(usize, Rational)>;
 
 /// A linear program in standard form: minimise `cᵀx` s.t. rows, `x ≥ 0`.
@@ -104,80 +116,134 @@ impl SimplexOutcome {
 }
 
 struct Tableau {
-    /// `rows x cols` matrix; the last column is the right-hand side.
-    data: Vec<Vec<Rational>>,
+    /// Each row's non-zero coefficients, sorted by column; an absent column
+    /// is zero.
+    rows: Vec<RowTerms>,
+    /// Each row's right-hand side.
+    rhs: Vec<Rational>,
     /// Index of the basic variable of each row.
     basis: Vec<usize>,
     /// Total number of structural + slack + artificial columns (excludes rhs).
     num_cols: usize,
     /// Columns that are artificial variables (banned from entering in phase II).
     artificial: Vec<bool>,
+    /// Every row's coefficient in the column last read by
+    /// [`Tableau::read_column`]: the ratio test's and the pivot's factors.
+    column: Vec<Rational>,
+    /// Reusable buffer that [`Tableau::pivot`] merges each updated row into.
+    scratch: RowTerms,
+}
+
+/// The coefficient of `col` in a column-sorted row.
+fn entry(row: &RowTerms, col: usize) -> Rational {
+    match row.binary_search_by_key(&col, |&(c, _)| c) {
+        Ok(at) => row[at].1,
+        Err(_) => Rational::zero(),
+    }
 }
 
 impl Tableau {
-    /// Pivots on `(row, col)` and returns the pivot row's non-zero entries
-    /// `(column, value)` after scaling, the rhs column included. Every other
-    /// row is updated in those columns only.
-    fn pivot(&mut self, row: usize, col: usize) -> RowTerms {
+    /// Reads every row's coefficient in `col` into [`Tableau::column`].
+    fn read_column(&mut self, col: usize) {
+        self.column.clear();
+        self.column
+            .extend(self.rows.iter().map(|terms| entry(terms, col)));
+    }
+
+    /// Pivots on `(row, col)`, where `col` is the column last read by
+    /// [`Tableau::read_column`]: scales the pivot row so the entry is one and
+    /// subtracts `factor · pivot_row` from every other row whose entry in
+    /// `col` is the non-zero `factor`.
+    fn pivot(&mut self, row: usize, col: usize) {
         record_pivot();
-        let pivot_value = self.data[row][col];
+        let pivot_value = self.column[row];
         debug_assert!(!pivot_value.is_zero());
         let inv = pivot_value.recip();
-        let mut nonzero = Vec::new();
-        for (c, value) in self.data[row].iter_mut().enumerate() {
-            if !value.is_zero() {
-                *value = *value * inv;
-                nonzero.push((c, *value));
-            }
+        let mut pivot_row = std::mem::take(&mut self.rows[row]);
+        for (_, value) in &mut pivot_row {
+            *value = *value * inv;
         }
-        for (r, other) in self.data.iter_mut().enumerate() {
-            if r == row {
+        let mut pivot_rhs = self.rhs[row];
+        if !pivot_rhs.is_zero() {
+            pivot_rhs = pivot_rhs * inv;
+            self.rhs[row] = pivot_rhs;
+        }
+        for (r, other) in self.rows.iter_mut().enumerate() {
+            let factor = self.column[r];
+            if r == row || factor.is_zero() {
                 continue;
             }
-            let factor = other[col];
-            if factor.is_zero() {
-                continue;
+            // Merge `other - factor · pivot_row` into the scratch row; each
+            // touched entry is `old - value * factor` with an absent `old`
+            // read as zero, and an entry that cancels is dropped.
+            let merged = &mut self.scratch;
+            let mut k = 0;
+            for &(c, value) in &pivot_row {
+                while k < other.len() && other[k].0 < c {
+                    merged.push(other[k]);
+                    k += 1;
+                }
+                let mut updated = if k < other.len() && other[k].0 == c {
+                    k += 1;
+                    other[k - 1].1
+                } else {
+                    Rational::zero()
+                };
+                updated -= value * factor;
+                if !updated.is_zero() {
+                    merged.push((c, updated));
+                }
             }
-            for &(c, value) in &nonzero {
-                other[c] -= value * factor;
+            merged.extend_from_slice(&other[k..]);
+            std::mem::swap(other, merged);
+            merged.clear();
+            if !pivot_rhs.is_zero() {
+                self.rhs[r] -= pivot_rhs * factor;
             }
         }
+        self.rows[row] = pivot_row;
         self.basis[row] = col;
-        nonzero
     }
 
     /// Runs simplex iterations minimising `objective` (one coefficient per column).
     /// Returns `None` if unbounded, otherwise the optimal objective value.
     ///
-    /// The reduced-cost row `z` is maintained incrementally: it is initialised once as
-    /// `z_j = c_j - Σ_i c_{B_i}·T[i][j]` (O(rows·cols)) and thereafter updated with a
-    /// single row operation per pivot (O(cols)), instead of being recomputed from the
-    /// basis on every entering-column scan. The last entry of `z` carries
-    /// `-Σ_i c_{B_i}·rhs_i`, i.e. the negated objective value of the current basis.
+    /// The reduced-cost row `z` is dense and maintained incrementally: it is
+    /// initialised once as `z_j = c_j - Σ_i c_{B_i}·T[i][j]` and thereafter
+    /// updated with the pivot row's non-zeros, the same row operation
+    /// [`Tableau::pivot`] applies to every other row, instead of being
+    /// recomputed from the basis on every entering-column scan. The last
+    /// entry of `z` carries `-Σ_i c_{B_i}·rhs_i`, i.e. the negated objective
+    /// value of the current basis.
     fn minimise(&mut self, objective: &[Rational], allow_artificial: bool) -> Option<Rational> {
-        let mut in_basis = vec![false; self.num_cols];
+        let num_cols = self.num_cols;
+        let mut in_basis = vec![false; num_cols];
         for &basic in &self.basis {
             in_basis[basic] = true;
         }
+        // Subtracts `factor` times row `row` (rhs included) from `z`.
+        let eliminate = |z: &mut [Rational], row: &RowTerms, rhs: Rational, factor: Rational| {
+            for &(c, value) in row {
+                z[c] -= factor * value;
+            }
+            if !rhs.is_zero() {
+                z[num_cols] -= factor * rhs;
+            }
+        };
         // Initial reduced-cost row (rhs slot holds the negated objective value).
-        let mut z: Vec<Rational> = Vec::with_capacity(self.num_cols + 1);
+        let mut z: Vec<Rational> = Vec::with_capacity(num_cols + 1);
         z.extend_from_slice(objective);
         z.push(Rational::zero());
         for (row, &basic) in self.basis.iter().enumerate() {
             let cb = objective[basic];
-            if cb.is_zero() {
-                continue;
-            }
-            for (slot, value) in z.iter_mut().zip(&self.data[row]) {
-                if !value.is_zero() {
-                    *slot -= cb * *value;
-                }
+            if !cb.is_zero() {
+                eliminate(&mut z, &self.rows[row], self.rhs[row], cb);
             }
         }
         loop {
             // Bland's entering rule: smallest column index with negative reduced cost.
             let mut entering = None;
-            for col in 0..self.num_cols {
+            for col in 0..num_cols {
                 if (!allow_artificial && self.artificial[col]) || in_basis[col] {
                     continue;
                 }
@@ -187,14 +253,14 @@ impl Tableau {
                 }
             }
             let Some(col) = entering else {
-                return Some(-z[self.num_cols]);
+                return Some(-z[num_cols]);
             };
             // Ratio test with Bland tie-breaking on the basic variable index.
             let mut leaving: Option<(usize, Rational)> = None;
-            for row in 0..self.data.len() {
-                let coeff = self.data[row][col];
+            self.read_column(col);
+            for (row, &coeff) in self.column.iter().enumerate() {
                 if coeff.is_positive() {
-                    let ratio = self.data[row][self.num_cols] / coeff;
+                    let ratio = self.rhs[row] / coeff;
                     let better = match &leaving {
                         None => true,
                         Some((best_row, best_ratio)) => {
@@ -207,21 +273,15 @@ impl Tableau {
                     }
                 }
             }
-            match leaving {
-                Some((row, _)) => {
-                    in_basis[self.basis[row]] = false;
-                    in_basis[col] = true;
-                    let nonzero = self.pivot(row, col);
-                    // Eliminate the entering column from the reduced-cost row with the
-                    // same row operation pivot() applied to every other row.
-                    let factor = z[col];
-                    if !factor.is_zero() {
-                        for (c, value) in nonzero {
-                            z[c] -= value * factor;
-                        }
-                    }
-                }
-                None => return None, // unbounded
+            let (row, _) = leaving?; // unbounded
+            in_basis[self.basis[row]] = false;
+            in_basis[col] = true;
+            self.pivot(row, col);
+            // Eliminate the entering column from the reduced-cost row with the
+            // same row operation pivot() applied to every other row.
+            let factor = z[col];
+            if !factor.is_zero() {
+                eliminate(&mut z, &self.rows[row], self.rhs[row], factor);
             }
         }
     }
@@ -230,7 +290,7 @@ impl Tableau {
         let mut solution = vec![Rational::zero(); num_structural];
         for (row, &basic) in self.basis.iter().enumerate() {
             if basic < num_structural {
-                solution[basic] = self.data[row][self.num_cols];
+                solution[basic] = self.rhs[row];
             }
         }
         solution
@@ -285,13 +345,14 @@ pub fn solve(program: &StandardForm) -> SimplexOutcome {
     // Columns: structural, then slack in row order, then artificial in row
     // order (Bland's rule picks by index, so this order fixes the pivots).
     let columns = num_structural + num_slack + num_artificial;
-    let mut data = Vec::with_capacity(num_rows);
+    let mut rows = Vec::with_capacity(num_rows);
+    let mut rhs = Vec::with_capacity(num_rows);
     let mut basis = vec![usize::MAX; num_rows];
     let mut artificial_cols = Vec::with_capacity(num_artificial);
 
     let mut slack = num_structural;
     let mut next_artificial = num_structural + num_slack;
-    for (row_idx, ((terms, _, rhs), &(flip, effective_op))) in
+    for (row_idx, ((terms, _, b), &(flip, effective_op))) in
         program.rows.iter().zip(&effective).enumerate()
     {
         let sign = if flip {
@@ -299,31 +360,37 @@ pub fn solve(program: &StandardForm) -> SimplexOutcome {
         } else {
             Rational::one()
         };
-        let mut row = vec![Rational::zero(); columns + 1];
+        let mut row: RowTerms = Vec::with_capacity(terms.len() + 2);
         for &(col, value) in terms {
             assert!(col < num_structural, "row term outside the variables");
-            row[col] = value * sign;
+            row.push((col, value * sign));
         }
-        row[columns] = *rhs * sign;
+        row.sort_unstable_by_key(|&(col, _)| col);
+        assert!(
+            row.windows(2).all(|pair| pair[0].0 != pair[1].0),
+            "repeated row term column"
+        );
+        row.retain(|(_, value)| !value.is_zero());
+        rhs.push(*b * sign);
         match effective_op {
             RowOp::Le => {
-                row[slack] = Rational::one();
+                row.push((slack, Rational::one()));
                 basis[row_idx] = slack;
                 slack += 1;
             }
             RowOp::Ge => {
-                row[slack] = -Rational::one();
+                row.push((slack, -Rational::one()));
                 slack += 1;
             }
             RowOp::Eq => {}
         }
         if effective_op != RowOp::Le {
-            row[next_artificial] = Rational::one();
+            row.push((next_artificial, Rational::one()));
             basis[row_idx] = next_artificial;
             artificial_cols.push(next_artificial);
             next_artificial += 1;
         }
-        data.push(row);
+        rows.push(row);
     }
 
     let mut artificial = vec![false; columns];
@@ -332,10 +399,13 @@ pub fn solve(program: &StandardForm) -> SimplexOutcome {
     }
 
     let mut tableau = Tableau {
-        data,
+        rows,
+        rhs,
         basis,
         num_cols: columns,
         artificial: artificial.clone(),
+        column: Vec::with_capacity(num_rows),
+        scratch: Vec::new(),
     };
 
     // Phase I: minimise the sum of artificial variables.
@@ -358,9 +428,9 @@ pub fn solve(program: &StandardForm) -> SimplexOutcome {
         for row in 0..tableau.basis.len() {
             let basic = tableau.basis[row];
             if artificial[basic] {
-                let pivot_col =
-                    (0..columns).find(|&c| !artificial[c] && !tableau.data[row][c].is_zero());
-                if let Some(col) = pivot_col {
+                let pivot_col = tableau.rows[row].iter().find(|&&(c, _)| !artificial[c]);
+                if let Some(&(col, _)) = pivot_col {
+                    tableau.read_column(col);
                     tableau.pivot(row, col);
                 }
                 // If no pivot column exists the row is redundant; the artificial stays
@@ -380,6 +450,84 @@ pub fn solve(program: &StandardForm) -> SimplexOutcome {
         None => SimplexOutcome::Unbounded {
             solution: tableau.basic_solution(num_structural),
         },
+    }
+}
+
+/// A seeded, block-structured program shaped like the Farkas LPs of ranking
+/// synthesis: `blocks` implications of eight rows each over 24 private
+/// multiplier columns per block, every row holding five of them, and the
+/// first two rows of each block also linking to one of two shared template
+/// columns. Coefficients are fractional, six rows in eight are equalities,
+/// and the right-hand sides are those of a hidden non-negative point, so the
+/// program is feasible and some right-hand sides are negative. The objective
+/// weights every column non-negatively, so the program has an optimum.
+///
+/// It is the wide workload of the simplex pin test and of the
+/// `kernel/farkas_lp_wide` micro bench: 125 blocks give 1,000 rows over
+/// 3,002 structural columns, and pivoting on the shared columns fills the
+/// rows in several-fold.
+pub fn wide_block_program(seed: u64, blocks: usize) -> StandardForm {
+    const SHARED: usize = 2;
+    const PRIVATE: usize = 24;
+    const ROWS: usize = 8;
+    // SplitMix64: a fixed stream per seed, independent of any RNG crate.
+    let mut state = seed;
+    let mut next = |bound: u64| -> i128 {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound) as i128
+    };
+    let num_vars = SHARED + blocks * PRIVATE;
+    // The hidden point: about one column in three is positive.
+    let point: Vec<Rational> = (0..num_vars)
+        .map(|_| match next(3) {
+            0 => Rational::from(next(3) + 1),
+            _ => Rational::zero(),
+        })
+        .collect();
+    let mut rows = Vec::with_capacity(blocks * ROWS);
+    for block in 0..blocks {
+        let first = SHARED + block * PRIVATE;
+        for i in 0..ROWS {
+            let mut terms: RowTerms = Vec::with_capacity(6);
+            while terms.len() < 5 {
+                let col = first + next(PRIVATE as u64) as usize;
+                if terms.iter().all(|&(c, _)| c != col) {
+                    let num = [-2, -1, 1, 2][next(4) as usize];
+                    terms.push((col, Rational::new(num, next(2) + 1)));
+                }
+            }
+            if i < SHARED {
+                terms.push((i, Rational::new(-1, next(3) + 1)));
+            }
+            terms.sort_by_key(|&(c, _)| c);
+            let at_point = terms
+                .iter()
+                .fold(Rational::zero(), |acc, &(c, v)| acc + v * point[c]);
+            let margin = Rational::new(next(3), 2);
+            let (op, rhs) = match i {
+                6 => (RowOp::Le, at_point + margin),
+                7 => (RowOp::Ge, at_point - margin),
+                _ => (RowOp::Eq, at_point),
+            };
+            rows.push((terms, op, rhs));
+        }
+    }
+    let objective = (0..num_vars)
+        .map(|col| {
+            if col < SHARED {
+                Rational::new(next(5) + 1, 2)
+            } else {
+                Rational::new(next(3), 4)
+            }
+        })
+        .collect();
+    StandardForm {
+        num_vars,
+        rows,
+        objective,
     }
 }
 
@@ -545,6 +693,18 @@ mod tests {
             objective: vec![r(0), r(0)],
         };
         assert!(solve(&program).solution().is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated row term column")]
+    fn repeated_column_is_rejected() {
+        // Read as `x0 + x0`, the row would silently mean `2·x0 <= 1`.
+        let program = StandardForm {
+            num_vars: 1,
+            rows: vec![(vec![(0, r(1)), (0, r(1))], RowOp::Le, r(1))],
+            objective: vec![r(0)],
+        };
+        solve(&program);
     }
 
     #[test]
@@ -714,6 +874,53 @@ mod tests {
             }
             assert_eq!(outcomes, [164, 99, 137], "infeasible/unbounded/optimal");
             assert_eq!(pivot_work() - before, 762, "pivot total moved");
+        }
+
+        /// Pins the simplex on wide programs: a thousand rows over three
+        /// thousand structural columns, where pivoting on the shared columns
+        /// fills the rows in several-fold. Each seed's outcome, objective and
+        /// pivot count were recorded with the dense tableau that preceded the
+        /// sparse rows, and no rational operation may saturate.
+        #[test]
+        fn prop_wide_block_lp_pinned() {
+            let pinned = [
+                (1, "56584044031/310390080", 2123),
+                (2, "1113623293/5565120", 2045),
+                (3, "791083523/4080384", 2130),
+            ];
+            let overflows = crate::rational::overflow_work();
+            for (seed, objective, pivots) in pinned {
+                let program = wide_block_program(seed, 125);
+                assert_eq!(program.rows.len(), 1000);
+                assert_eq!(program.num_vars, 3002);
+                assert!(program.rows.iter().all(|(terms, _, _)| terms.len() <= 8));
+                assert!(program.rows.iter().any(|(_, op, _)| *op == RowOp::Eq));
+                assert!(program.rows.iter().any(|(_, _, rhs)| rhs.is_negative()));
+                assert!(program
+                    .rows
+                    .iter()
+                    .any(|(terms, _, _)| terms.iter().any(|(_, value)| !value.is_integer())));
+                let before = pivot_work();
+                let outcome = solve(&program);
+                let SimplexOutcome::Optimal {
+                    objective: value,
+                    solution,
+                } = &outcome
+                else {
+                    panic!("seed {seed}: expected an optimum, got {outcome:?}");
+                };
+                assert!(
+                    satisfies(&program, solution),
+                    "seed {seed}: infeasible point"
+                );
+                assert_eq!(value.to_string(), objective, "seed {seed}: objective moved");
+                assert_eq!(
+                    pivot_work() - before,
+                    pivots,
+                    "seed {seed}: pivot count moved"
+                );
+            }
+            assert_eq!(crate::rational::overflow_work(), overflows, "saturated");
         }
 
         /// The all-zero point satisfying the constraints implies the program is

@@ -6,24 +6,21 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tnt_logic::{dnf, entail, num, var, Constraint, Formula};
 use tnt_solver::farkas::{encode_implication, MultiplierSource, TemplateLin};
-use tnt_solver::lexicographic::synthesize_lexicographic;
+use tnt_solver::lexicographic::synthesize_lexicographic_mixed;
 use tnt_solver::lp::LpProblem;
-use tnt_solver::ranking::{RankingProblem, Transition};
+use tnt_solver::system::{Transition, TransitionSystem};
 use tnt_solver::{Ineq, Lin, Rational};
 
 fn ranking_countdown(c: &mut Criterion) {
     c.bench_function("ranking/countdown", |b| {
         b.iter(|| {
-            let mut p = RankingProblem::new();
-            let n = p.add_node("loop", &["x"]);
+            let mut p = TransitionSystem::new();
+            let n = p.add_node(&["x"]);
+            let next = Lin::var("x").add_const(-Rational::one());
             let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-            guard.extend(Ineq::eq_zero(
-                Lin::var("x'")
-                    .sub(&Lin::var("x"))
-                    .add_const(Rational::one()),
-            ));
-            p.add_transition(Transition::new(n, n, vec!["x'".into()], guard));
-            synthesize_lexicographic(&p, 3)
+            guard.extend(Ineq::eq_zero(Lin::var("x'").sub(&next)));
+            p.add_transition(Transition::new(n, n, vec!["x'".into()], vec![next], guard));
+            synthesize_lexicographic_mixed(&p, 3, false)
         })
     });
 }

@@ -8,9 +8,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use tnt_logic::{dnf, entail, qe, sat, simplify, Constraint, Formula, Lin, RelOp};
 use tnt_solver::lexicographic::synthesize_lexicographic_mixed;
 use tnt_solver::multiphase::synthesize_multiphase;
-use tnt_solver::ranking::{NodeId, RankingProblem, Transition};
-use tnt_solver::recurrent::{RecurrentProblem, RecurrentSet, RecurrentTransition};
-use tnt_solver::{farkas, Ineq, MeasureItem, Rational};
+use tnt_solver::recurrent::{self, RecurrentSet};
+use tnt_solver::system::{NodeId, Transition, TransitionSystem};
+use tnt_solver::{farkas, ranking, Ineq, MeasureItem, Rational};
 
 /// Converts a context formula into guard cubes usable by the ranking back-end: each
 /// cube is a conjunction of `≥ 0` inequalities (dis-equalities are dropped, which only
@@ -30,61 +30,63 @@ fn guard_cubes(ctx: &Formula) -> Vec<Vec<Ineq>> {
         .collect()
 }
 
-/// Builds the ranking problem of an SCC: one node per pre-predicate, one transition
-/// per guard cube of every internal edge. Each node's transitions can be
-/// strengthened with extra per-source-node inequalities (the entry-restricted
-/// conditional proof passes its invariant atoms; the plain proof passes none).
-fn ranking_problem(
+/// Builds the transition system of an SCC: one node per pre-predicate, one
+/// transition per guard cube of every internal edge. A transition's premises are
+/// the cube's atoms, then the source node's `restriction` atoms (the
+/// entry-restricted conditional proof passes its invariant; the other provers
+/// pass none), then the bindings `@dst{edge}_{cube}_{i} = argᵢ` of the
+/// destination's arguments. `None` when a pre-predicate has no formals in the
+/// store or an edge passes the wrong number of arguments.
+fn scc_system(
     scc: &[String],
     graph: &ReachGraph,
     theta: &Theta,
     restriction: &BTreeMap<String, Vec<Ineq>>,
-) -> Option<(RankingProblem, BTreeMap<String, NodeId>)> {
-    let mut problem = RankingProblem::new();
+) -> Option<(TransitionSystem, BTreeMap<String, NodeId>)> {
+    let mut system = TransitionSystem::new();
     let mut node_of: BTreeMap<String, NodeId> = BTreeMap::new();
     for pre in scc {
-        let vars = theta.vars_of_pre(pre)?.to_vec();
-        let node = problem.add_node_owned(pre, vars);
-        node_of.insert(pre.clone(), node);
+        node_of.insert(pre.clone(), system.add_node(theta.vars_of_pre(pre)?));
     }
     for (edge_index, edge) in graph.internal_edges(scc).iter().enumerate() {
         let EdgeTarget::Unknown { pre: dst, args } = &edge.target else {
             continue;
         };
-        let src = node_of[&edge.src];
-        let dst_node = node_of[dst];
+        let (src, dst) = (node_of[&edge.src], node_of[dst]);
+        if args.len() != system.formals(dst).len() {
+            return None;
+        }
         for (cube_index, mut cube) in guard_cubes(&edge.ctx).into_iter().enumerate() {
             if let Some(atoms) = restriction.get(&edge.src) {
                 cube.extend(atoms.iter().cloned());
             }
-            // Bind each destination argument to a synthetic variable name.
             let mut dst_vars = Vec::new();
             for (i, arg) in args.iter().enumerate() {
                 let name = format!("@dst{edge_index}_{cube_index}_{i}");
                 cube.extend(Ineq::eq_zero(Lin::var(name.clone()).sub(arg)));
                 dst_vars.push(name);
             }
-            problem.add_transition(Transition::new(src, dst_node, dst_vars, cube));
+            system.add_transition(Transition::new(src, dst, dst_vars, args.clone(), cube));
         }
     }
-    Some((problem, node_of))
+    Some((system, node_of))
 }
 
-/// The synthesis fall-back chain over a built ranking problem:
+/// The synthesis fall-back chain over an SCC's transition system:
 /// linear → lexicographic (with `max(f, g)` slots) → nested multiphase.
 fn synthesize_measure(
-    problem: &RankingProblem,
+    system: &TransitionSystem,
     options: &SolveOptions,
 ) -> Option<BTreeMap<NodeId, Vec<MeasureItem>>> {
     if options.lexicographic {
         // The mixed synthesis starts with the single-component (linear) fast path.
         if let Some(measure) =
-            synthesize_lexicographic_mixed(problem, options.max_lex_components, options.multiphase)
+            synthesize_lexicographic_mixed(system, options.max_lex_components, options.multiphase)
         {
             return Some(measure);
         }
         if options.multiphase {
-            if let Some(phases) = synthesize_multiphase(problem, options.max_phases) {
+            if let Some(phases) = synthesize_multiphase(system, options.max_phases) {
                 return Some(
                     phases
                         .into_iter()
@@ -96,8 +98,7 @@ fn synthesize_measure(
         None
     } else {
         Some(
-            problem
-                .synthesize()?
+            ranking::synthesize(system)?
                 .into_iter()
                 .map(|(n, lin)| (n, vec![MeasureItem::Affine(lin)]))
                 .collect(),
@@ -113,8 +114,8 @@ pub fn prove_term(
     theta: &Theta,
     options: &SolveOptions,
 ) -> Option<BTreeMap<String, Vec<MeasureItem>>> {
-    let (problem, node_of) = ranking_problem(scc, graph, theta, &BTreeMap::new())?;
-    let measure = synthesize_measure(&problem, options)?;
+    let (system, node_of) = scc_system(scc, graph, theta, &BTreeMap::new())?;
+    let measure = synthesize_measure(&system, options)?;
     Some(
         node_of
             .into_iter()
@@ -282,8 +283,8 @@ pub fn prove_term_conditional(
     }
     // 5. Ranking synthesis on the invariant-restricted transitions, through the
     //    full fall-back chain (linear → lexicographic/max → multiphase).
-    let (problem, node_of) = ranking_problem(scc, graph, theta, &atoms)?;
-    let measure = synthesize_measure(&problem, options)?;
+    let (system, node_of) = scc_system(scc, graph, theta, &atoms)?;
+    let measure = synthesize_measure(&system, options)?;
     Some(
         node_of
             .into_iter()
@@ -332,21 +333,7 @@ fn instantiate_ineq(ineq: &Ineq, vars: &[String], args: &[Lin]) -> Ineq {
 /// The inequalities every given region entails: harvested from the regions' DNF
 /// cubes and kept only when certified against *every* cube of *every* region.
 fn atoms_implied_by_all(regions: &[Formula]) -> Vec<Ineq> {
-    let cubes_of = |region: &Formula| -> Vec<Vec<Ineq>> {
-        dnf::to_dnf(region)
-            .into_iter()
-            .map(|cube| {
-                cube.iter()
-                    .filter_map(|c| match c.op() {
-                        RelOp::Ne => None,
-                        _ => c.to_ineqs(),
-                    })
-                    .flatten()
-                    .collect()
-            })
-            .collect()
-    };
-    let all_cubes: Vec<Vec<Vec<Ineq>>> = regions.iter().map(cubes_of).collect();
+    let all_cubes: Vec<Vec<Vec<Ineq>>> = regions.iter().map(guard_cubes).collect();
     let mut pool: Vec<Ineq> = Vec::new();
     for cubes in &all_cubes {
         for cube in cubes {
@@ -574,13 +561,14 @@ pub enum Pool {
 /// non-termination prover when [`prove_nonterm`]'s whole-guard coverage proof
 /// fails (typically because only *part* of the case's state space diverges).
 ///
-/// The prover builds a [`RecurrentProblem`] from the guard cubes of the case's
-/// internal (self) edges, draws candidate atoms from `pool`, prunes them on
-/// deterministic concrete valuations (the DynamiTe-style sample pre-filter),
-/// and certifies the surviving set `S` per-transition with Farkas
-/// implications. A successful certificate is re-validated on the sampled
-/// valuations as a built-in self-check before it is trusted. The posts in
-/// `assumed_false` are coinductive hypotheses, as in [`prove_nonterm`].
+/// The prover builds the SCC's single-node transition system from the guard
+/// cubes of the case's internal (self) edges, draws candidate atoms from
+/// `pool`, prunes them on deterministic concrete valuations (the
+/// DynamiTe-style sample pre-filter), and certifies the surviving set `S`
+/// per-transition with Farkas implications. A successful certificate is
+/// re-validated on the sampled valuations as a built-in self-check before it
+/// is trusted. The posts in `assumed_false` are coinductive hypotheses, as in
+/// [`prove_nonterm`].
 ///
 /// Soundness of the `Loop` resolution on `guard ∧ S`: `S` is closed under
 /// every internal transition choice, and the exit-obligation coverage below
@@ -605,43 +593,24 @@ pub fn prove_nonterm_recurrent(
     let guard = theta.guard_of_pre(pre)?.clone();
     let formals: BTreeSet<&str> = vars.iter().map(String::as_str).collect();
     let over_formals = |atom: &Ineq| atom.expr().vars().all(|v| formals.contains(v));
-    // One recurrent transition per guard cube of every internal edge, with the
-    // destination state bound to fresh `@rec…` variables. Source-state atoms of
-    // the cubes double as candidate atoms for the set.
-    let mut problem = RecurrentProblem::new(vars.clone());
-    let mut candidates: Vec<Ineq> = Vec::new();
-    for (edge_index, edge) in graph.internal_edges(scc).iter().enumerate() {
-        let EdgeTarget::Unknown { args, .. } = &edge.target else {
-            continue;
-        };
-        if args.len() != vars.len() {
-            return None;
-        }
-        for (cube_index, mut cube) in guard_cubes(&edge.ctx).into_iter().enumerate() {
-            for atom in cube.iter().filter(|a| over_formals(a)) {
-                if !candidates.contains(atom) {
-                    candidates.push(atom.clone());
-                }
-            }
-            let mut dst_vars = Vec::new();
-            for (i, arg) in args.iter().enumerate() {
-                let name = format!("@rec{edge_index}_{cube_index}_{i}");
-                cube.extend(Ineq::eq_zero(Lin::var(name.clone()).sub(arg)));
-                dst_vars.push(name);
-            }
-            problem.add_transition(RecurrentTransition::new(dst_vars, args.clone(), cube));
-        }
-    }
-    if problem.transitions().is_empty() {
+    let (system, _) = scc_system(scc, graph, theta, &BTreeMap::new())?;
+    if system.transitions().is_empty() {
         return None;
     }
-    // The case guard's own atoms are candidates too — the divergent region is
-    // often the guard itself or a strengthening of it.
-    for cube in guard_cubes(&guard) {
-        for atom in cube.iter().filter(|a| over_formals(a)) {
-            if !candidates.contains(atom) {
-                candidates.push(atom.clone());
-            }
+    // The source-state atoms of the transition guards are candidate atoms for
+    // the set (the bindings mention destination variables and drop out), and
+    // so are the case guard's own — the divergent region is often the guard
+    // itself or a strengthening of it.
+    let case_cubes = guard_cubes(&guard);
+    let mut candidates: Vec<Ineq> = Vec::new();
+    for atom in system
+        .transitions()
+        .iter()
+        .flat_map(|t| &t.guard)
+        .chain(case_cubes.iter().flatten())
+    {
+        if over_formals(atom) && !candidates.contains(atom) {
+            candidates.push(atom.clone());
         }
     }
     // Deterministic concrete valuations seed the sample pre-filter and the
@@ -658,7 +627,7 @@ pub fn prove_nonterm_recurrent(
             .collect();
     if pool == Pool::Orbit {
         let mut enriched = false;
-        for atom in tnt_solver::orbit::harvest(&problem, &samples, ORBIT_STEPS) {
+        for atom in tnt_solver::orbit::harvest(&system, &samples, ORBIT_STEPS) {
             if over_formals(&atom) && !candidates.contains(&atom) {
                 candidates.push(atom);
                 enriched = true;
@@ -675,8 +644,8 @@ pub fn prove_nonterm_recurrent(
     // the coverage checks below, and the next certified set takes its place.
     // This is the region scoring that keeps enriched atoms from carving a
     // needlessly small slab when a larger certified region also works.
-    for set in problem.synthesize_ranked(&candidates, &samples) {
-        if !problem.closed_on_samples(&set, &samples) {
+    for set in recurrent::synthesize_ranked(&system, &candidates, &samples) {
+        if !recurrent::closed_on_samples(&system, &set, &samples) {
             continue;
         }
         // Exit coverage: under `S`, the case's post-predicate must be
@@ -794,6 +763,7 @@ pub fn split(conditions: &[Formula], guard: &Formula) -> Vec<Formula> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::specialize::Edge;
     use tnt_logic::{num, var};
 
     #[test]
@@ -885,6 +855,68 @@ mod tests {
         let parts = split(&[c], &guard);
         // Under x >= 10 the negation x < 5 is infeasible, so only one part remains.
         assert_eq!(parts.len(), 1);
+    }
+
+    /// The builder's premise order (cube atoms, restriction atoms, bindings) and
+    /// its `@dst{edge}_{cube}_{i}` names fix the column order of every LP the
+    /// provers solve, so both are pinned here.
+    #[test]
+    fn scc_system_orders_premises_and_names_bindings() {
+        // The paper's foo: foo(x, y) calls foo(x + y, y) under x >= 0. A split
+        // on the sign of y gives the call two guard cubes.
+        let pre = "Upr_foo#0".to_string();
+        let mut theta = Theta::new();
+        theta.register(&pre, "Upo_foo#0", vec!["x".to_string(), "y".to_string()]);
+        let ctx = Formula::and(vec![
+            Constraint::ge(var("x"), num(0)).into(),
+            Formula::or(vec![
+                Constraint::lt(var("y"), num(0)).into(),
+                Constraint::ge(var("y"), num(0)).into(),
+            ]),
+        ]);
+        let call = Edge {
+            src: pre.clone(),
+            ctx,
+            target: EdgeTarget::Unknown {
+                pre: pre.clone(),
+                args: vec![var("x").add(&var("y")), var("y")],
+            },
+        };
+        let graph = ReachGraph::build(vec![call], std::slice::from_ref(&pre));
+        let restriction =
+            BTreeMap::from([(pre.clone(), vec![Ineq::ge_zero(var("x").sub(&num(2)))])]);
+        let (system, node_of) =
+            scc_system(std::slice::from_ref(&pre), &graph, &theta, &restriction).unwrap();
+        let node = node_of[&pre];
+        assert_eq!(system.formals(node), ["x", "y"]);
+        let rendered: Vec<(Vec<String>, Vec<String>)> = system
+            .transitions()
+            .iter()
+            .map(|t| {
+                assert_eq!((t.src, t.dst), (node, node));
+                assert_eq!(t.args, [var("x").add(&var("y")), var("y")]);
+                (
+                    t.dst_vars.clone(),
+                    t.guard.iter().map(ToString::to_string).collect(),
+                )
+            })
+            .collect();
+        let cube = |sign: &str, c: usize| {
+            let b = |i: usize| format!("@dst0_{c}_{i}");
+            (
+                vec![b(0), b(1)],
+                vec![
+                    "x >= 0".to_string(),
+                    sign.to_string(),
+                    "x - 2 >= 0".to_string(),
+                    format!("{} - x - y >= 0", b(0)),
+                    format!("-{} + x + y >= 0", b(0)),
+                    format!("{} - y >= 0", b(1)),
+                    format!("-{} + y >= 0", b(1)),
+                ],
+            )
+        };
+        assert_eq!(rendered, [cube("-y - 1 >= 0", 0), cube("y >= 0", 1)]);
     }
 
     #[test]

@@ -10,11 +10,9 @@
 
 use crate::linear::Lin;
 use crate::multiphase::{self, MaxComponent, MeasureItem};
-use crate::ranking::{NodeId, RankingProblem, Transition};
+use crate::ranking;
+use crate::system::{NodeId, Transition, TransitionSystem};
 use std::collections::BTreeMap;
-
-/// A lexicographic measure: for each node, the ordered list of affine components.
-pub type LexicographicMeasure = BTreeMap<NodeId, Vec<Lin>>;
 
 /// A lexicographic measure whose components may be affine or `max(f, g)` items.
 pub type MixedMeasure = BTreeMap<NodeId, Vec<MeasureItem>>;
@@ -25,91 +23,55 @@ enum Component {
     Max(MaxComponent),
 }
 
-/// Attempts to synthesize a lexicographic linear ranking measure of at most
-/// `max_components` components for the given problem.
+/// Attempts to synthesize a lexicographic ranking measure of at most
+/// `max_components` components for the given system.
 ///
-/// Returns `None` if the iterative scheme gets stuck (no component can eliminate any
-/// remaining transition) or the component budget is exhausted.
+/// With `allow_max` set, a `max(f, g)` slot is tried whenever no plain affine
+/// component can eliminate a remaining transition: the candidate max components
+/// of [`crate::multiphase`] are checked before giving up, and every max claim is
+/// certified by the sound Farkas case-split check. Without it, every component
+/// is affine.
 ///
-/// # Examples
-///
-/// ```
-/// use tnt_solver::lexicographic::synthesize_lexicographic;
-/// use tnt_solver::ranking::{RankingProblem, Transition};
-/// use tnt_solver::{Ineq, Lin, Rational};
-///
-/// // while (x >= 0) { if (*) { x--; y = *; } else { y--; } }  needs measure [x, y] ... here a
-/// // simple countdown suffices to show the API shape:
-/// let mut p = RankingProblem::new();
-/// let n = p.add_node("loop", &["x"]);
-/// let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-/// guard.extend(Ineq::eq_zero(Lin::var("x'").sub(&Lin::var("x")).add_const(Rational::one())));
-/// p.add_transition(Transition::new(n, n, vec!["x'".into()], guard));
-/// let measure = synthesize_lexicographic(&p, 3).unwrap();
-/// assert_eq!(measure[&n].len(), 1);
-/// ```
-pub fn synthesize_lexicographic(
-    problem: &RankingProblem,
-    max_components: usize,
-) -> Option<LexicographicMeasure> {
-    let mixed = synthesize_lexicographic_mixed(problem, max_components, false)?;
-    // With max components disabled, every item is affine by construction.
-    Some(
-        mixed
-            .into_iter()
-            .map(|(node, items)| {
-                let lins = items
-                    .into_iter()
-                    .map(|item| match item {
-                        MeasureItem::Affine(lin) => lin,
-                        other => unreachable!("max disabled, got {other}"),
-                    })
-                    .collect();
-                (node, lins)
-            })
-            .collect(),
-    )
-}
-
-/// [`synthesize_lexicographic`] extended with `max(f, g)` component slots: when no
-/// plain affine component can eliminate a remaining transition, the candidate max
-/// components of [`crate::multiphase`] are tried before giving up. Every max claim
-/// is certified by the sound Farkas case-split check.
+/// Returns `None` if the iterative scheme gets stuck (no component can eliminate
+/// any remaining transition) or the component budget is exhausted.
 ///
 /// # Examples
 ///
 /// ```
 /// use tnt_solver::lexicographic::synthesize_lexicographic_mixed;
 /// use tnt_solver::multiphase::MeasureItem;
-/// use tnt_solver::ranking::{RankingProblem, Transition};
+/// use tnt_solver::system::{Transition, TransitionSystem};
 /// use tnt_solver::{Ineq, Lin, Rational};
 ///
 /// // The gcd-style loop on positive inputs needs max(x, y).
 /// let one = || Lin::constant(Rational::one());
-/// let mut p = RankingProblem::new();
-/// let n = p.add_node("loop", &["x", "y"]);
+/// let mut p = TransitionSystem::new();
+/// let n = p.add_node(&["x", "y"]);
 /// for (upper, lower) in [("x", "y"), ("y", "x")] {
 ///     let mut g = vec![
 ///         Ineq::ge(Lin::var("x"), one()),
 ///         Ineq::ge(Lin::var("y"), one()),
 ///         Ineq::ge(Lin::var(upper), Lin::var(lower).add(&one())),
 ///     ];
-///     g.extend(Ineq::eq_zero(
-///         Lin::var(format!("{upper}'")).sub(&Lin::var(upper)).add(&Lin::var(lower)),
-///     ));
-///     g.extend(Ineq::eq_zero(Lin::var(format!("{lower}'")).sub(&Lin::var(lower))));
-///     p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], g));
+///     // The larger variable drops by the smaller one; the other stays.
+///     let args: Vec<Lin> = ["x", "y"]
+///         .map(|v| if v == upper { Lin::var(upper).sub(&Lin::var(lower)) } else { Lin::var(v) })
+///         .to_vec();
+///     for (dst, arg) in ["x'", "y'"].iter().zip(&args) {
+///         g.extend(Ineq::eq_zero(Lin::var(*dst).sub(arg)));
+///     }
+///     p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], args, g));
 /// }
 /// let measure = synthesize_lexicographic_mixed(&p, 4, true).unwrap();
 /// assert!(!measure[&n].is_empty());
 /// ```
 pub fn synthesize_lexicographic_mixed(
-    problem: &RankingProblem,
+    system: &TransitionSystem,
     max_components: usize,
     allow_max: bool,
 ) -> Option<MixedMeasure> {
     // Fast path: a single affine component handling everything at once.
-    if let Some(single) = problem.synthesize() {
+    if let Some(single) = ranking::synthesize(system) {
         return Some(
             single
                 .into_iter()
@@ -118,7 +80,7 @@ pub fn synthesize_lexicographic_mixed(
         );
     }
 
-    let mut remaining: Vec<&Transition> = problem.transitions().iter().collect();
+    let mut remaining: Vec<&Transition> = system.transitions().iter().collect();
     let mut components: Vec<Component> = Vec::new();
 
     while !remaining.is_empty() {
@@ -130,9 +92,9 @@ pub fn synthesize_lexicographic_mixed(
         // Remove every transition on which the component strictly decreases (and is
         // bounded); strictness is claimed by construction, but we verify via the
         // sound Farkas check to stay conservative.
-        if let Some(measure) = problem.synthesize_component(&remaining) {
+        if let Some(measure) = ranking::synthesize_component(system, &remaining) {
             let before = remaining.len();
-            remaining.retain(|t| !problem.strictly_decreasing_on(&measure, t));
+            remaining.retain(|t| !ranking::strictly_decreasing_on(system, &measure, t));
             if remaining.len() < before {
                 components.push(Component::Affine(measure));
                 continue;
@@ -143,18 +105,18 @@ pub fn synthesize_lexicographic_mixed(
             return None;
         }
         let mut progressed = false;
-        for candidate in multiphase::max_component_candidates(problem) {
+        for candidate in multiphase::max_component_candidates(system) {
             if crate::simplex::deadline_exceeded() {
                 return None;
             }
             if !remaining
                 .iter()
-                .all(|t| multiphase::max_decreasing_on(problem, &candidate, t, false))
+                .all(|t| multiphase::max_decreasing_on(system, &candidate, t, false))
             {
                 continue;
             }
             let before = remaining.len();
-            remaining.retain(|t| !multiphase::max_decreasing_on(problem, &candidate, t, true));
+            remaining.retain(|t| !multiphase::max_decreasing_on(system, &candidate, t, true));
             if remaining.len() < before {
                 components.push(Component::Max(candidate));
                 progressed = true;
@@ -167,7 +129,7 @@ pub fn synthesize_lexicographic_mixed(
     }
 
     let mut result: MixedMeasure = BTreeMap::new();
-    for i in 0..problem.num_nodes() {
+    for i in 0..system.num_nodes() {
         let node = NodeId(i);
         let comps = components
             .iter()
@@ -200,57 +162,78 @@ mod tests {
         Ineq::eq_zero(lhs.sub(&rhs)).to_vec()
     }
 
+    /// A self-loop over `(i, j)`: guard `atoms` plus the bindings `i' = args[0]`,
+    /// `j' = args[1]`.
+    fn ij_step(n: NodeId, atoms: Vec<Ineq>, args: [Lin; 2]) -> Transition {
+        let mut guard = atoms;
+        guard.extend(eq(Lin::var("i'"), args[0].clone()));
+        guard.extend(eq(Lin::var("j'"), args[1].clone()));
+        Transition::new(n, n, vec!["i'".into(), "j'".into()], args.to_vec(), guard)
+    }
+
+    /// The nested loop: no single affine function decreases on both
+    /// transitions (both guarded by i >= 0), but [i, j] works.
+    ///   t1: i' = i - 1, j' arbitrary large (modelled j' = j + i, no bound needed)
+    ///   t2: i' = i,     j >= 0, j' = j - 1
+    fn nested_loop() -> (TransitionSystem, NodeId) {
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(&["i", "j"]);
+        let (i, j) = (Lin::var("i"), Lin::var("j"));
+        p.add_transition(ij_step(
+            n,
+            vec![Ineq::ge_zero(i.clone())],
+            [i.add_const(r(-1)), j.add(&i)],
+        ));
+        p.add_transition(ij_step(
+            n,
+            vec![Ineq::ge_zero(i.clone()), Ineq::ge_zero(j.clone())],
+            [i.clone(), j.add_const(r(-1))],
+        ));
+        (p, n)
+    }
+
     #[test]
     fn single_component_when_possible() {
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["x"]);
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(&["x"]);
+        let next = Lin::var("x").add_const(r(-1));
         let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-        guard.extend(eq(Lin::var("x'"), Lin::var("x").add_const(r(-1))));
-        p.add_transition(Transition::new(n, n, vec!["x'".into()], guard));
-        let measure = synthesize_lexicographic(&p, 3).expect("terminates");
+        guard.extend(eq(Lin::var("x'"), next.clone()));
+        p.add_transition(Transition::new(n, n, vec!["x'".into()], vec![next], guard));
+        let measure = synthesize_lexicographic_mixed(&p, 3, false).expect("terminates");
         assert_eq!(measure[&n].len(), 1);
     }
 
     #[test]
     fn nested_loop_needs_two_components() {
-        // Two self-loop transitions over (i, j), both guarded by i >= 0:
-        //   t1: i' = i - 1, j' arbitrary large (modelled j' = j + i, no bound needed)
-        //   t2: i' = i,     j >= 0, j' = j - 1
-        // No single affine function decreases on both, but [i, j] works.
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["i", "j"]);
-
-        let mut g1 = vec![Ineq::ge_zero(Lin::var("i"))];
-        g1.extend(eq(Lin::var("i'"), Lin::var("i").add_const(r(-1))));
-        g1.extend(eq(Lin::var("j'"), Lin::var("j").add(&Lin::var("i"))));
-        p.add_transition(Transition::new(n, n, vec!["i'".into(), "j'".into()], g1));
-
-        let mut g2 = vec![Ineq::ge_zero(Lin::var("i")), Ineq::ge_zero(Lin::var("j"))];
-        g2.extend(eq(Lin::var("i'"), Lin::var("i")));
-        g2.extend(eq(Lin::var("j'"), Lin::var("j").add_const(r(-1))));
-        p.add_transition(Transition::new(n, n, vec!["i'".into(), "j'".into()], g2));
-
-        assert!(p.synthesize().is_none(), "no single linear measure");
-        let measure = synthesize_lexicographic(&p, 4).expect("lexicographic measure exists");
+        let (p, n) = nested_loop();
+        assert!(
+            ranking::synthesize(&p).is_none(),
+            "no single linear measure"
+        );
+        let measure =
+            synthesize_lexicographic_mixed(&p, 4, false).expect("lexicographic measure exists");
         assert!(measure[&n].len() >= 2);
+        assert!(measure[&n].iter().all(|item| item.as_affine().is_some()));
     }
 
     #[test]
     fn non_terminating_loop_has_no_measure() {
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["x"]);
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(&["x"]);
+        let next = Lin::var("x").add_const(r(1));
         let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-        guard.extend(eq(Lin::var("x'"), Lin::var("x").add_const(r(1))));
-        p.add_transition(Transition::new(n, n, vec!["x'".into()], guard));
-        assert!(synthesize_lexicographic(&p, 4).is_none());
+        guard.extend(eq(Lin::var("x'"), next.clone()));
+        p.add_transition(Transition::new(n, n, vec!["x'".into()], vec![next], guard));
+        assert!(synthesize_lexicographic_mixed(&p, 4, false).is_none());
     }
 
     #[test]
     fn mixed_synthesis_uses_max_when_affine_components_stall() {
         // gcd on positive inputs: no affine lexicographic measure exists over the
         // two subtractive transitions, but max(x, y) eliminates both at once.
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["x", "y"]);
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(&["x", "y"]);
         let one = || Lin::constant(r(1));
         for (upper, lower) in [("x", "y"), ("y", "x")] {
             let mut g = vec![
@@ -258,12 +241,21 @@ mod tests {
                 Ineq::ge(Lin::var("y"), one()),
                 Ineq::ge(Lin::var(upper), Lin::var(lower).add(&one())),
             ];
-            g.extend(eq(
-                Lin::var(format!("{upper}'")),
-                Lin::var(upper).sub(&Lin::var(lower)),
-            ));
+            let dropped = Lin::var(upper).sub(&Lin::var(lower));
+            g.extend(eq(Lin::var(format!("{upper}'")), dropped.clone()));
             g.extend(eq(Lin::var(format!("{lower}'")), Lin::var(lower)));
-            p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], g));
+            let args = if upper == "x" {
+                vec![dropped, Lin::var("y")]
+            } else {
+                vec![Lin::var("x"), dropped]
+            };
+            p.add_transition(Transition::new(
+                n,
+                n,
+                vec!["x'".into(), "y'".into()],
+                args,
+                g,
+            ));
         }
         let measure = synthesize_lexicographic_mixed(&p, 4, true).expect("max slot works");
         // Note: gcd also admits the affine measure x + y under positivity, so the
@@ -275,28 +267,26 @@ mod tests {
         // transition for y <= 0 — in fact nothing affine works, and max cannot be
         // certified either (the loop genuinely diverges for negative y), so mixed
         // synthesis must return None rather than an unsound measure.
-        let mut q = RankingProblem::new();
-        let m = q.add_node("loop", &["x", "y"]);
+        let mut q = TransitionSystem::new();
+        let m = q.add_node(&["x", "y"]);
+        let next = Lin::var("x").sub(&Lin::var("y"));
         let mut g1 = vec![Ineq::ge(Lin::var("x"), Lin::var("y").add(&one()))];
-        g1.extend(eq(Lin::var("x'"), Lin::var("x").sub(&Lin::var("y"))));
+        g1.extend(eq(Lin::var("x'"), next.clone()));
         g1.extend(eq(Lin::var("y'"), Lin::var("y")));
-        q.add_transition(Transition::new(m, m, vec!["x'".into(), "y'".into()], g1));
+        q.add_transition(Transition::new(
+            m,
+            m,
+            vec!["x'".into(), "y'".into()],
+            vec![next, Lin::var("y")],
+            g1,
+        ));
         assert!(synthesize_lexicographic_mixed(&q, 4, true).is_none());
     }
 
     #[test]
     fn component_budget_respected() {
         // Same nested-loop example but with budget 1: must fail.
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["i", "j"]);
-        let mut g1 = vec![Ineq::ge_zero(Lin::var("i"))];
-        g1.extend(eq(Lin::var("i'"), Lin::var("i").add_const(r(-1))));
-        g1.extend(eq(Lin::var("j'"), Lin::var("j").add(&Lin::var("i"))));
-        p.add_transition(Transition::new(n, n, vec!["i'".into(), "j'".into()], g1));
-        let mut g2 = vec![Ineq::ge_zero(Lin::var("i")), Ineq::ge_zero(Lin::var("j"))];
-        g2.extend(eq(Lin::var("i'"), Lin::var("i")));
-        g2.extend(eq(Lin::var("j'"), Lin::var("j").add_const(r(-1))));
-        p.add_transition(Transition::new(n, n, vec!["i'".into(), "j'".into()], g2));
-        assert!(synthesize_lexicographic(&p, 1).is_none());
+        let (p, _) = nested_loop();
+        assert!(synthesize_lexicographic_mixed(&p, 1, false).is_none());
     }
 }

@@ -16,8 +16,10 @@
 //! * [`lp`] — a named-variable linear-program builder on top of the simplex core.
 //! * [`farkas`] — Farkas'-lemma encodings of universally quantified linear implications
 //!   into existentially quantified linear systems over multipliers and template parameters.
-//! * [`ranking`] — synthesis of linear ranking functions for a set of transitions
-//!   (one affine template per graph node, Podelski–Rybalchenko style).
+//! * [`system`] — the transition system of an SCC that every prover below reads:
+//!   nodes with formal parameters and guarded call transitions between them.
+//! * [`ranking`] — synthesis of linear ranking functions for a transition system
+//!   (one affine template per node, Podelski–Rybalchenko style).
 //! * [`lexicographic`] — synthesis of lexicographic linear ranking functions by the
 //!   standard iterative edge-elimination scheme, with optional `max(f, g)` component
 //!   slots for transitions no affine component can eliminate.
@@ -26,14 +28,15 @@
 //!   measure domain, both encoded through the same Farkas/simplex machinery and
 //!   re-certified by sound concrete checks before use.
 //! * [`recurrent`] — closed recurrent-set synthesis for non-termination
-//!   certificates: a polyhedral set with an entry state, closed under every
-//!   transition, Houdini-shrunk from sample-pruned candidate atoms, certified
-//!   per transition through the same Farkas implication check, and scored by
-//!   region generality when several inductive subsets certify.
+//!   certificates on a single-node system: a polyhedral set with an entry
+//!   state, closed under every transition, Houdini-shrunk from sample-pruned
+//!   candidate atoms, certified per transition through the same Farkas
+//!   implication check, and scored by region generality when several
+//!   inductive subsets certify.
 //! * [`orbit`] — DynamiTe-style candidate harvesting for the recurrent-set
-//!   synthesis: multi-step concrete orbit simulation from seeded valuations,
-//!   collecting sign atoms, pairwise differences and fitted affine
-//!   combinations that hold along every sampled divergent orbit.
+//!   synthesis: multi-step concrete orbit simulation of a single-node system
+//!   from seeded valuations, collecting sign atoms, pairwise differences and
+//!   fitted affine combinations that hold along every sampled divergent orbit.
 //!
 //! The crate is independent of the logic front-end: variables are plain strings and
 //! constraints are affine expressions in `≥ 0` normal form ([`linear::Ineq`]).
@@ -44,18 +47,18 @@
 //!
 //! ```
 //! use tnt_solver::linear::{Ineq, Lin};
-//! use tnt_solver::ranking::{RankingProblem, Transition};
+//! use tnt_solver::ranking;
+//! use tnt_solver::system::{Transition, TransitionSystem};
 //! use tnt_solver::Rational;
 //!
-//! let mut problem = RankingProblem::new();
-//! let node = problem.add_node("loop", &["x"]);
-//! // guard: x >= 0  /\  x' = x - 1
+//! let mut system = TransitionSystem::new();
+//! let node = system.add_node(&["x"]);
+//! // guard: x >= 0  /\  x' = x - 1, passing x - 1 to the next call
+//! let next = Lin::var("x").add_const(Rational::from(-1));
 //! let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-//! guard.extend(Ineq::eq_zero(
-//!     Lin::var("x'").sub(&Lin::var("x")).add_const(Rational::from(1)),
-//! ));
-//! problem.add_transition(Transition::new(node, node, vec!["x'".to_string()], guard));
-//! let solution = problem.synthesize().expect("a linear ranking function exists");
+//! guard.extend(Ineq::eq_zero(Lin::var("x'").sub(&next)));
+//! system.add_transition(Transition::new(node, node, vec!["x'".to_string()], vec![next], guard));
+//! let solution = ranking::synthesize(&system).expect("a linear ranking function exists");
 //! assert!(solution[&node].coeff("x") > Rational::zero());
 //! ```
 
@@ -72,6 +75,7 @@ pub mod ranking;
 pub mod rational;
 pub mod recurrent;
 pub mod simplex;
+pub mod system;
 #[cfg(test)]
 mod testgen;
 

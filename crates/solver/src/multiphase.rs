@@ -27,8 +27,8 @@
 use crate::farkas::{self, encode_implication, MultiplierSource, TemplateLin};
 use crate::linear::{Ineq, Lin};
 use crate::lp::LpProblem;
-use crate::ranking::{NodeId, RankingProblem, Transition};
 use crate::rational::Rational;
+use crate::system::{NodeId, Transition, TransitionSystem};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -82,7 +82,7 @@ pub type MultiphaseMeasure = BTreeMap<NodeId, Vec<Lin>>;
 pub type MaxComponent = BTreeMap<NodeId, (Lin, Lin)>;
 
 /// Attempts to synthesize a nested multiphase linear ranking measure of depth at
-/// most `max_depth` covering *every* transition of the problem at once.
+/// most `max_depth` covering *every* transition of the system at once.
 ///
 /// Depths are tried in increasing order starting at 2 (depth 1 is a plain linear
 /// measure, which callers try first). Every LP answer is re-certified transition by
@@ -92,67 +92,60 @@ pub type MaxComponent = BTreeMap<NodeId, (Lin, Lin)>;
 ///
 /// ```
 /// use tnt_solver::multiphase::synthesize_multiphase;
-/// use tnt_solver::ranking::{RankingProblem, Transition};
+/// use tnt_solver::ranking;
+/// use tnt_solver::system::{Transition, TransitionSystem};
 /// use tnt_solver::{Ineq, Lin, Rational};
 ///
 /// // while (x > 0) { x = x + y; y = y - 1; }  — y falls first, then x falls.
-/// let mut p = RankingProblem::new();
-/// let n = p.add_node("loop", &["x", "y"]);
+/// let mut p = TransitionSystem::new();
+/// let n = p.add_node(&["x", "y"]);
+/// let args = vec![
+///     Lin::var("x").add(&Lin::var("y")),
+///     Lin::var("y").add_const(-Rational::one()),
+/// ];
 /// let mut guard = vec![Ineq::ge(Lin::var("x"), Lin::constant(Rational::one()))];
-/// guard.extend(Ineq::eq_zero(
-///     Lin::var("x'").sub(&Lin::var("x")).sub(&Lin::var("y")),
-/// ));
-/// guard.extend(Ineq::eq_zero(
-///     Lin::var("y'").sub(&Lin::var("y")).add_const(Rational::one()),
-/// ));
-/// p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], guard));
-/// assert!(p.synthesize().is_none(), "no single affine measure");
+/// guard.extend(Ineq::eq_zero(Lin::var("x'").sub(&args[0])));
+/// guard.extend(Ineq::eq_zero(Lin::var("y'").sub(&args[1])));
+/// p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], args, guard));
+/// assert!(ranking::synthesize(&p).is_none(), "no single affine measure");
 /// let phases = synthesize_multiphase(&p, 3).expect("multiphase measure exists");
 /// assert_eq!(phases[&n].len(), 2);
 /// ```
 pub fn synthesize_multiphase(
-    problem: &RankingProblem,
+    system: &TransitionSystem,
     max_depth: usize,
 ) -> Option<MultiphaseMeasure> {
-    if problem.transitions().is_empty() {
+    if system.transitions().is_empty() {
         return None; // the plain synthesis already covers the vacuous case
     }
     for depth in 2..=max_depth {
         if crate::simplex::deadline_exceeded() {
             return None;
         }
-        if let Some(measure) = synthesize_depth(problem, depth) {
+        if let Some(measure) = synthesize_depth(system, depth) {
             return Some(measure);
         }
     }
     None
 }
 
-fn synthesize_depth(problem: &RankingProblem, depth: usize) -> Option<MultiphaseMeasure> {
+fn synthesize_depth(system: &TransitionSystem, depth: usize) -> Option<MultiphaseMeasure> {
     // One affine template per (phase, node).
     let phases: Vec<Vec<TemplateLin>> = (0..depth)
         .map(|k| {
-            (0..problem.num_nodes())
-                .map(|i| {
-                    TemplateLin::template(&format!("mph{k}n{i}"), problem.node_vars(NodeId(i)))
-                })
+            (0..system.num_nodes())
+                .map(|i| TemplateLin::template(&format!("mph{k}n{i}"), system.formals(NodeId(i))))
                 .collect()
         })
         .collect();
     let mut lp = LpProblem::new();
     let mut multipliers = MultiplierSource::new();
-    for transition in problem.transitions() {
+    for transition in system.transitions() {
         let src = transition.src.0;
         let dst = transition.dst.0;
-        let map: BTreeMap<String, String> = problem
-            .node_vars(transition.dst)
-            .iter()
-            .cloned()
-            .zip(transition.dst_vars.iter().cloned())
-            .collect();
         for k in 0..depth {
             // f_k(v) − f_k(v') ≥ 1 − f_{k−1}(v)   (f₀ ≡ 0)
-            let next = phases[k][dst].rename_program_vars(&map);
+            let next = system.rename_template_to_dst(&phases[k][dst], transition);
             let mut decrease = phases[k][src].sub(&next).add_const(-Rational::one());
             if k > 0 {
                 decrease = decrease.add(&phases[k - 1][src]);
@@ -172,7 +165,7 @@ fn synthesize_depth(problem: &RankingProblem, depth: usize) -> Option<Multiphase
         return None;
     }
     let params = solution.values;
-    let measure: MultiphaseMeasure = (0..problem.num_nodes())
+    let measure: MultiphaseMeasure = (0..system.num_nodes())
         .map(|i| {
             let node = NodeId(i);
             (
@@ -185,10 +178,10 @@ fn synthesize_depth(problem: &RankingProblem, depth: usize) -> Option<Multiphase
         })
         .collect();
     // Defensive: re-certify the synthesized tuple with the sound concrete check.
-    if problem
+    if system
         .transitions()
         .iter()
-        .all(|t| multiphase_valid_on(problem, &measure, t))
+        .all(|t| multiphase_valid_on(system, &measure, t))
     {
         Some(measure)
     } else {
@@ -198,7 +191,7 @@ fn synthesize_depth(problem: &RankingProblem, depth: usize) -> Option<Multiphase
 
 /// Sound concrete check of the nested multiphase conditions on one transition.
 pub fn multiphase_valid_on(
-    problem: &RankingProblem,
+    system: &TransitionSystem,
     measure: &MultiphaseMeasure,
     transition: &Transition,
 ) -> bool {
@@ -211,7 +204,7 @@ pub fn multiphase_valid_on(
     }
     let renamed: Vec<Lin> = dst
         .iter()
-        .map(|lin| rename_to_actuals(problem, lin, transition))
+        .map(|lin| system.rename_to_dst(lin, transition))
         .collect();
     for k in 0..src.len() {
         let mut decrease = src[k].sub(&renamed[k]).add_const(-Rational::one());
@@ -226,35 +219,21 @@ pub fn multiphase_valid_on(
     farkas::implies(&transition.guard, &bounded)
 }
 
-/// Renames a destination-node expression from the node's formals to the guard
-/// variables carrying the argument values of `transition`.
-fn rename_to_actuals(problem: &RankingProblem, lin: &Lin, transition: &Transition) -> Lin {
-    let mut out = lin.clone();
-    for (formal, actual) in problem
-        .node_vars(transition.dst)
-        .iter()
-        .zip(&transition.dst_vars)
-    {
-        out = out.rename(formal, actual);
-    }
-    out
-}
-
 /// Enumerates candidate `max(f, g)` components: one per unordered pair of variable
-/// positions shared by every node of the problem (nodes arising from the same
+/// positions shared by every node of the system (nodes arising from the same
 /// method scenario share their parameter order, so positional pairing is the
 /// deterministic analogue of pairing by name).
-pub(crate) fn max_component_candidates(problem: &RankingProblem) -> Vec<MaxComponent> {
-    let arity = (0..problem.num_nodes())
-        .map(|i| problem.node_vars(NodeId(i)).len())
+pub(crate) fn max_component_candidates(system: &TransitionSystem) -> Vec<MaxComponent> {
+    let arity = (0..system.num_nodes())
+        .map(|i| system.formals(NodeId(i)).len())
         .min()
         .unwrap_or(0);
     let mut candidates = Vec::new();
     for a in 0..arity {
         for b in (a + 1)..arity {
-            let candidate: MaxComponent = (0..problem.num_nodes())
+            let candidate: MaxComponent = (0..system.num_nodes())
                 .map(|i| {
-                    let vars = problem.node_vars(NodeId(i));
+                    let vars = system.formals(NodeId(i));
                     (
                         NodeId(i),
                         (Lin::var(vars[a].clone()), Lin::var(vars[b].clone())),
@@ -273,15 +252,15 @@ pub(crate) fn max_component_candidates(problem: &RankingProblem) -> Vec<MaxCompo
 /// holds, and under it the dominating side equals the max and both successor sides
 /// are certified to lie (strictly) below it.
 pub(crate) fn max_decreasing_on(
-    problem: &RankingProblem,
+    system: &TransitionSystem,
     measure: &MaxComponent,
     transition: &Transition,
     strict: bool,
 ) -> bool {
     let (f, g) = &measure[&transition.src];
     let (dst_f, dst_g) = &measure[&transition.dst];
-    let next_f = rename_to_actuals(problem, dst_f, transition);
-    let next_g = rename_to_actuals(problem, dst_g, transition);
+    let next_f = system.rename_to_dst(dst_f, transition);
+    let next_g = system.rename_to_dst(dst_g, transition);
     let delta = if strict {
         Rational::one()
     } else {
@@ -311,59 +290,75 @@ pub(crate) fn max_decreasing_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexicographic::synthesize_lexicographic;
+    use crate::lexicographic::synthesize_lexicographic_mixed;
+    use crate::ranking;
 
     fn r(n: i128) -> Rational {
         Rational::from(n)
     }
 
-    fn eq(lhs: Lin, rhs: Lin) -> Vec<Ineq> {
-        Ineq::eq_zero(lhs.sub(&rhs)).to_vec()
+    /// A self-loop over `formals`: the guard `atoms` plus the bindings
+    /// `v' = args[i]` of each formal `v`, in order.
+    fn step(n: NodeId, formals: &[&str], atoms: Vec<Ineq>, args: Vec<Lin>) -> Transition {
+        let mut guard = atoms;
+        let mut dst_vars = Vec::new();
+        for (v, arg) in formals.iter().zip(&args) {
+            let primed = format!("{v}'");
+            guard.extend(Ineq::eq_zero(Lin::var(primed.clone()).sub(arg)));
+            dst_vars.push(primed);
+        }
+        Transition::new(n, n, dst_vars, args, guard)
     }
 
     /// The phase-change loop `while (x > 0) { x = x + y; y = y - 1; }`.
-    fn phase_change_problem() -> (RankingProblem, NodeId) {
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["x", "y"]);
-        let mut guard = vec![Ineq::ge(Lin::var("x"), Lin::constant(r(1)))];
-        guard.extend(eq(Lin::var("x'"), Lin::var("x").add(&Lin::var("y"))));
-        guard.extend(eq(Lin::var("y'"), Lin::var("y").add_const(r(-1))));
-        p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], guard));
+    fn phase_change_problem() -> (TransitionSystem, NodeId) {
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(&["x", "y"]);
+        p.add_transition(step(
+            n,
+            &["x", "y"],
+            vec![Ineq::ge(Lin::var("x"), Lin::constant(r(1)))],
+            vec![
+                Lin::var("x").add(&Lin::var("y")),
+                Lin::var("y").add_const(r(-1)),
+            ],
+        ));
         (p, n)
     }
 
     /// The gcd-style loop restricted to positive inputs: two transitions.
-    fn gcd_problem() -> (RankingProblem, NodeId) {
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["x", "y"]);
+    fn gcd_problem() -> (TransitionSystem, NodeId) {
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(&["x", "y"]);
         let positive = |v: &str| Ineq::ge(Lin::var(v), Lin::constant(r(1)));
         // x > y: x' = x - y, y' = y
-        let mut g1 = vec![
+        let g1 = vec![
             positive("x"),
             positive("y"),
             Ineq::ge(Lin::var("x"), Lin::var("y").add_const(r(1))),
         ];
-        g1.extend(eq(Lin::var("x'"), Lin::var("x").sub(&Lin::var("y"))));
-        g1.extend(eq(Lin::var("y'"), Lin::var("y")));
-        p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], g1));
+        let args1 = vec![Lin::var("x").sub(&Lin::var("y")), Lin::var("y")];
+        p.add_transition(step(n, &["x", "y"], g1, args1));
         // y > x: x' = x, y' = y - x
-        let mut g2 = vec![
+        let g2 = vec![
             positive("x"),
             positive("y"),
             Ineq::ge(Lin::var("y"), Lin::var("x").add_const(r(1))),
         ];
-        g2.extend(eq(Lin::var("x'"), Lin::var("x")));
-        g2.extend(eq(Lin::var("y'"), Lin::var("y").sub(&Lin::var("x"))));
-        p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], g2));
+        let args2 = vec![Lin::var("x"), Lin::var("y").sub(&Lin::var("x"))];
+        p.add_transition(step(n, &["x", "y"], g2, args2));
         (p, n)
     }
 
     #[test]
     fn phase_change_needs_and_gets_multiphase() {
         let (p, n) = phase_change_problem();
-        assert!(p.synthesize().is_none(), "no single affine measure");
         assert!(
-            synthesize_lexicographic(&p, 4).is_none(),
+            ranking::synthesize(&p).is_none(),
+            "no single affine measure"
+        );
+        assert!(
+            synthesize_lexicographic_mixed(&p, 4, false).is_none(),
             "no plain lex measure"
         );
         let measure = synthesize_multiphase(&p, 3).expect("nested multiphase exists");
@@ -377,11 +372,14 @@ mod tests {
     #[test]
     fn diverging_loop_has_no_multiphase_measure() {
         // while (x >= 0) x = x + 1 — diverges, so no depth may work.
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["x"]);
-        let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-        guard.extend(eq(Lin::var("x'"), Lin::var("x").add_const(r(1))));
-        p.add_transition(Transition::new(n, n, vec!["x'".into()], guard));
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(&["x"]);
+        p.add_transition(step(
+            n,
+            &["x"],
+            vec![Ineq::ge_zero(Lin::var("x"))],
+            vec![Lin::var("x").add_const(r(1))],
+        ));
         assert!(synthesize_multiphase(&p, 4).is_none());
     }
 
@@ -401,12 +399,17 @@ mod tests {
     fn max_component_rejects_non_decreasing_claim() {
         // while (x >= 0) { x = x + 1; y = y - 1; }: max(x, y) does not decrease
         // (the x side grows).
-        let mut p = RankingProblem::new();
-        let n = p.add_node("loop", &["x", "y"]);
-        let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-        guard.extend(eq(Lin::var("x'"), Lin::var("x").add_const(r(1))));
-        guard.extend(eq(Lin::var("y'"), Lin::var("y").add_const(r(-1))));
-        p.add_transition(Transition::new(n, n, vec!["x'".into(), "y'".into()], guard));
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(&["x", "y"]);
+        p.add_transition(step(
+            n,
+            &["x", "y"],
+            vec![Ineq::ge_zero(Lin::var("x"))],
+            vec![
+                Lin::var("x").add_const(r(1)),
+                Lin::var("y").add_const(r(-1)),
+            ],
+        ));
         let candidates = max_component_candidates(&p);
         assert!(!max_decreasing_on(
             &p,
@@ -418,7 +421,6 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::lexicographic::synthesize_lexicographic_mixed;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         use std::collections::BTreeMap;
@@ -512,18 +514,11 @@ mod tests {
             }
         }
 
-        fn build_problem(specs: &[TransitionSpec]) -> (RankingProblem, NodeId) {
-            let mut problem = RankingProblem::new();
-            let node = problem.add_node("loop", &VARS);
+        fn build_problem(specs: &[TransitionSpec]) -> (TransitionSystem, NodeId) {
+            let mut problem = TransitionSystem::new();
+            let node = problem.add_node(&VARS);
             for spec in specs {
-                let mut guard = spec.atoms.clone();
-                let mut dst_vars = Vec::new();
-                for (v, update) in VARS.iter().zip(&spec.updates) {
-                    let primed = format!("{v}'");
-                    guard.extend(Ineq::eq_zero(Lin::var(primed.clone()).sub(update)));
-                    dst_vars.push(primed);
-                }
-                problem.add_transition(Transition::new(node, node, dst_vars, guard));
+                problem.add_transition(step(node, &VARS, spec.atoms.clone(), spec.updates.clone()));
             }
             (problem, node)
         }

@@ -7,13 +7,13 @@
 //! resolves this by looking at the *dynamics* instead of the syntax: simulate
 //! concrete orbits from sampled valuations and harvest, as candidate
 //! half-spaces, the inequalities that hold along every orbit that keeps
-//! running. This module implements that harvest over the same
-//! [`RecurrentProblem`] the synthesis consumes, so the enriched pass plugs in
-//! where the guard-atom pass already runs.
+//! running. This module implements that harvest over the same single-node
+//! [`TransitionSystem`] the recurrent-set synthesis consumes, so the enriched
+//! pass plugs in where the guard-atom pass already runs.
 //!
 //! Three candidate sources are harvested from the sampled divergent orbits
 //! (deterministically — the orbits come from seeded valuations and the
-//! transitions are tried in problem order):
+//! transitions are tried in system order):
 //!
 //! 1. **sign atoms** `v ≥ 0` / `−v ≥ 0` of every formal that keeps one sign;
 //! 2. **pairwise differences and sums** `±(v − w) ≥ 0` / `±(v + w) ≥ 0` that
@@ -30,35 +30,39 @@
 //! — would otherwise refute atoms that do hold on the divergent region. The
 //! harvest is heuristic either way: every returned atom is merely a
 //! *candidate*, and the Farkas closure checks of
-//! [`RecurrentProblem::synthesize_ranked`] remain the only soundness gate.
+//! [`crate::recurrent::synthesize_ranked`] remain the only soundness gate.
 
 use crate::linear::{Ineq, Lin};
 use crate::rational::Rational;
-use crate::recurrent::RecurrentProblem;
+use crate::recurrent::{concrete_step, loop_formals};
+use crate::system::TransitionSystem;
 use std::collections::BTreeMap;
 
-/// One concrete state of an orbit (a valuation of the problem's formals).
+/// One concrete state of an orbit (a valuation of the loop's formals).
 type State = BTreeMap<String, Rational>;
 
-/// Simulates multi-step orbits of `problem` from the given start states and
-/// harvests candidate half-spaces from the orbits that survive all `steps`
-/// steps (see the module docs for the three candidate sources).
+/// Simulates multi-step orbits of a single-node `system` from the given start
+/// states and harvests candidate half-spaces from the orbits that survive all
+/// `steps` steps (see the module docs for the three candidate sources).
 ///
-/// A step takes the first enabled transition in problem order, which keeps
+/// A step takes the first enabled transition in system order, which keeps
 /// the simulation deterministic for nondeterministic scenarios. Orbits whose
 /// start state violates every guard die immediately and contribute nothing;
-/// when *no* orbit survives, the harvest is empty and the caller falls back
-/// to the guard-atom pool unchanged.
-pub fn harvest(problem: &RecurrentProblem, samples: &[State], steps: usize) -> Vec<Ineq> {
+/// when *no* orbit survives, or the system has more than one node, the
+/// harvest is empty and the caller falls back to the guard-atom pool
+/// unchanged.
+pub fn harvest(system: &TransitionSystem, samples: &[State], steps: usize) -> Vec<Ineq> {
+    let Some(vars) = loop_formals(system) else {
+        return Vec::new();
+    };
     let tails: Vec<Vec<State>> = samples
         .iter()
-        .filter_map(|start| divergent_tail(problem, start, steps))
+        .filter_map(|start| divergent_tail(system, start, steps))
         .collect();
     if tails.is_empty() {
         return Vec::new();
     }
     let states: Vec<&State> = tails.iter().flatten().collect();
-    let vars = problem.vars();
     let mut candidates: Vec<Ineq> = Vec::new();
     let mut push = |atom: Ineq| {
         if !candidates.contains(&atom) {
@@ -103,14 +107,14 @@ pub fn harvest(problem: &RecurrentProblem, samples: &[State], steps: usize) -> V
 
 /// Runs one orbit for `steps` steps and returns its tail (the states from
 /// index `steps / 2` on) when it survives the full horizon, `None` otherwise.
-fn divergent_tail(problem: &RecurrentProblem, start: &State, steps: usize) -> Option<Vec<State>> {
+fn divergent_tail(system: &TransitionSystem, start: &State, steps: usize) -> Option<Vec<State>> {
     let mut orbit: Vec<State> = vec![start.clone()];
     let mut current = start.clone();
     for _ in 0..steps {
-        let next = problem
+        let next = system
             .transitions()
             .iter()
-            .find_map(|t| problem.concrete_step(t, &current))?;
+            .find_map(|t| concrete_step(system, t, &current))?;
         orbit.push(next.clone());
         current = next;
     }
@@ -171,7 +175,7 @@ fn fitted_combination(tails: &[Vec<State>], v: &str, w: &str) -> Vec<Ineq> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recurrent::RecurrentTransition;
+    use crate::system::Transition;
 
     fn r(n: i128) -> Rational {
         Rational::from(n)
@@ -181,26 +185,32 @@ mod tests {
         pairs.iter().map(|(v, n)| (v.to_string(), r(*n))).collect()
     }
 
+    /// A loop over `formals` with one self-call to `args`: the guard is
+    /// `x >= 0` plus the bindings `v' = args[i]`.
+    fn guarded_loop(formals: &[&str], args: Vec<Lin>) -> TransitionSystem {
+        let mut p = TransitionSystem::new();
+        let n = p.add_node(formals);
+        let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
+        let mut dst_vars = Vec::new();
+        for (v, arg) in formals.iter().zip(&args) {
+            let primed = format!("{v}'");
+            guard.extend(Ineq::eq_zero(Lin::var(primed.clone()).sub(arg)));
+            dst_vars.push(primed);
+        }
+        p.add_transition(Transition::new(n, n, dst_vars, args, guard));
+        p
+    }
+
     /// while (x >= 0) { x = x + y; y = y + 1; } — the additive drift whose
     /// divergent region x >= 0 ∧ y >= 0 mentions the guard-less atom y >= 0.
-    fn additive_drift() -> RecurrentProblem {
-        let mut p = RecurrentProblem::new(vec!["x".to_string(), "y".to_string()]);
-        let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-        guard.extend(Ineq::eq_zero(
-            Lin::var("x'").sub(&Lin::var("x")).sub(&Lin::var("y")),
-        ));
-        guard.extend(Ineq::eq_zero(
-            Lin::var("y'").sub(&Lin::var("y")).add_const(r(-1)),
-        ));
-        p.add_transition(RecurrentTransition::new(
-            vec!["x'".into(), "y'".into()],
+    fn additive_drift() -> TransitionSystem {
+        guarded_loop(
+            &["x", "y"],
             vec![
                 Lin::var("x").add(&Lin::var("y")),
                 Lin::var("y").add_const(r(1)),
             ],
-            guard,
-        ));
-        p
+        )
     }
 
     #[test]
@@ -247,29 +257,14 @@ mod tests {
         // coupled drift: y + z is conserved, but neither y nor z keeps one
         // sign across both orbits below, so the sum atom is the only
         // harvested half-space that names the divergence boundary.
-        let mut p = RecurrentProblem::new(vec!["x".to_string(), "y".to_string(), "z".to_string()]);
-        let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-        guard.extend(Ineq::eq_zero(
-            Lin::var("x'")
-                .sub(&Lin::var("x"))
-                .sub(&Lin::var("y"))
-                .sub(&Lin::var("z")),
-        ));
-        guard.extend(Ineq::eq_zero(
-            Lin::var("y'").sub(&Lin::var("y")).add_const(r(1)),
-        ));
-        guard.extend(Ineq::eq_zero(
-            Lin::var("z'").sub(&Lin::var("z")).add_const(r(-1)),
-        ));
-        p.add_transition(RecurrentTransition::new(
-            vec!["x'".into(), "y'".into(), "z'".into()],
+        let p = guarded_loop(
+            &["x", "y", "z"],
             vec![
                 Lin::var("x").add(&Lin::var("y")).add(&Lin::var("z")),
                 Lin::var("y").add_const(r(-1)),
                 Lin::var("z").add_const(r(1)),
             ],
-            guard,
-        ));
+        );
         let samples = vec![
             env(&[("x", 50), ("y", 5), ("z", -2)]),   // tail: y < 0, z > 0
             env(&[("x", 50), ("y", 40), ("z", -37)]), // tail: y > 0, z < 0
@@ -303,19 +298,10 @@ mod tests {
         // not the interesting fit; instead pair (x, z) moves (Δx = z, Δz = 0),
         // so use a genuinely coupled system: x' = x + 1, y' = y + 1 — the
         // difference x − y is conserved.
-        let mut p = RecurrentProblem::new(vec!["x".to_string(), "y".to_string()]);
-        let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
-        guard.extend(Ineq::eq_zero(
-            Lin::var("x'").sub(&Lin::var("x")).add_const(r(-1)),
-        ));
-        guard.extend(Ineq::eq_zero(
-            Lin::var("y'").sub(&Lin::var("y")).add_const(r(-1)),
-        ));
-        p.add_transition(RecurrentTransition::new(
-            vec!["x'".into(), "y'".into()],
+        let p = guarded_loop(
+            &["x", "y"],
             vec![Lin::var("x").add_const(r(1)), Lin::var("y").add_const(r(1))],
-            guard,
-        ));
+        );
         let samples = vec![env(&[("x", 0), ("y", 5)]), env(&[("x", 2), ("y", 0)])];
         let harvested = harvest(&p, &samples, 8);
         // λ fits to 1, the conserved x − y ∈ {−5, 2} is emitted with bounds.

@@ -12,8 +12,12 @@
 //! certified per transition through the same Farkas'-lemma implication check
 //! the multiphase measures use ([`crate::farkas::implies`]), so a returned set
 //! is sound by construction; callers additionally re-validate it on sampled
-//! concrete valuations as a built-in self-check
-//! ([`RecurrentProblem::closed_on_samples`]).
+//! concrete valuations as a built-in self-check ([`closed_on_samples`]).
+//!
+//! The loop is a [`TransitionSystem`] with a single node, whose formals are
+//! the set's variables, and whose transitions are the loop's guarded
+//! self-calls. A system with any other number of nodes (mutual recursion)
+//! yields no set.
 //!
 //! Candidate atoms are pruned DynamiTe-style before any LP is solved: concrete
 //! sample states cheaply refute non-inductive candidates by simulating one
@@ -25,49 +29,16 @@ use crate::linear::{Ineq, Lin};
 use crate::lp::{LpProblem, VarKind};
 use crate::rational::Rational;
 use crate::simplex;
+use crate::system::{NodeId, Transition, TransitionSystem};
 use std::collections::BTreeMap;
-
-/// One guarded transition (a recursive self-call of the loop predicate).
-///
-/// The guard is a conjunction of linear constraints (each `≥ 0`) over the
-/// source-state variables, any auxiliary variables of the call context, and
-/// the names in `dst_vars`, which carry — in formal-parameter order — the
-/// values passed to the next loop instance. `args` gives the same values as
-/// affine update expressions over the source state, which is what the sample
-/// simulation evaluates.
-#[derive(Clone, Debug)]
-pub struct RecurrentTransition {
-    /// For each formal parameter (in order), the guard variable holding its post-step value.
-    pub dst_vars: Vec<String>,
-    /// For each formal parameter (in order), its post-step value as an affine
-    /// expression over the source state (used for concrete sample simulation).
-    pub args: Vec<Lin>,
-    /// Conjunction of linear constraints (each `≥ 0`) describing one step.
-    ///
-    /// Must include the binding equalities `dst_vars[i] = args[i]` (e.g. via
-    /// [`Ineq::eq_zero`]): the Farkas closure checks relate source and
-    /// destination state only through these guard constraints.
-    pub guard: Vec<Ineq>,
-}
-
-impl RecurrentTransition {
-    /// Creates a transition.
-    pub fn new(dst_vars: Vec<String>, args: Vec<Lin>, guard: Vec<Ineq>) -> Self {
-        RecurrentTransition {
-            dst_vars,
-            args,
-            guard,
-        }
-    }
-}
 
 /// A synthesized recurrent set: the polyhedral region plus an entry witness.
 ///
-/// Invariant (established by [`RecurrentProblem::synthesize`] and re-checkable
-/// with [`RecurrentProblem::is_inductive`]): the conjunction of `atoms` is
-/// closed under every transition of the originating problem, and `entry`
-/// satisfies every atom — so the set is non-empty and every execution that
-/// reaches it keeps taking steps inside it.
+/// Invariant (established by [`synthesize`] and re-checkable with
+/// [`is_inductive`]): the conjunction of `atoms` is closed under every
+/// transition of the originating system, and `entry` satisfies every atom — so
+/// the set is non-empty and every execution that reaches it keeps taking steps
+/// inside it.
 #[derive(Clone, Debug)]
 pub struct RecurrentSet {
     /// The atoms `aᵢ(v) ≥ 0` whose conjunction defines the set.
@@ -83,421 +54,363 @@ impl RecurrentSet {
     }
 }
 
-/// A recurrent-set synthesis problem: one loop predicate with formal
-/// parameters and its guarded self-transitions.
-#[derive(Clone, Debug, Default)]
-pub struct RecurrentProblem {
-    vars: Vec<String>,
-    transitions: Vec<RecurrentTransition>,
+/// The formals of a single-node system's loop predicate, `None` for any other
+/// system.
+pub(crate) fn loop_formals(system: &TransitionSystem) -> Option<&[String]> {
+    (system.num_nodes() == 1).then(|| system.formals(NodeId(0)))
 }
 
-impl RecurrentProblem {
-    /// Creates a problem over the given formal parameters.
-    pub fn new(vars: Vec<String>) -> Self {
-        RecurrentProblem {
-            vars,
-            transitions: Vec::new(),
+/// Synthesizes a recurrent set from candidate atoms, or `None` when no
+/// non-trivial closed subset with an entry state exists (or the simplex work
+/// deadline expires mid-search, or the system has more than one node).
+///
+/// Candidates mentioning variables outside the formals are ignored. The
+/// samples serve two purposes: they cheaply refute non-inductive candidates
+/// before any LP runs, and the first sample inside the final set becomes the
+/// entry witness (with an LP feasibility fall-back when no sample qualifies).
+///
+/// When several inductive subsets certify, the *most general* one is returned
+/// (see [`synthesize_ranked`] for the scoring rule); this is what keeps
+/// enriched candidate pools from carving a needlessly small region out of the
+/// divergent space.
+pub fn synthesize(
+    system: &TransitionSystem,
+    candidates: &[Ineq],
+    samples: &[BTreeMap<String, Rational>],
+) -> Option<RecurrentSet> {
+    synthesize_ranked(system, candidates, samples)
+        .into_iter()
+        .next()
+}
+
+/// Synthesizes every certified recurrent set along the greedy generalization
+/// chain and returns them ranked most-general-first (empty for a system with
+/// more than one node).
+///
+/// The Houdini loop yields the *greatest* inductive atom subset — which,
+/// being the largest conjunction, defines the **smallest** region. That is
+/// the wrong preference when the candidate pool is rich: extra inductive
+/// atoms (e.g. both `x - y ≥ 0` and `y - x ≥ 0`) carve a needlessly small
+/// slab out of the divergent region. This function therefore walks the
+/// generalization chain above the Houdini result: at each step it tries
+/// every single-atom removal that keeps the remainder inductive, records
+/// *every* certified successor (their Farkas checks are already paid), and
+/// recurses along the best-scoring one. Recording the siblings matters:
+/// callers discharge side conditions (e.g. exit coverage) against the
+/// ranked list, and the set that passes them is often a sibling of the
+/// greedy path — on `x' = y, y' = y + 1` the path itself runs through
+/// half-plane sets that let the exit fire, while the passing full region
+/// `x ≥ 0 ∧ y ≥ 0` is a recorded sibling. Every certified set is
+/// returned, ordered by the deterministic score:
+///
+/// 1. sample-coverage count, descending (more samples inside = more
+///    general);
+/// 2. atom count, ascending (fewer conjuncts = weaker region);
+/// 3. canonical atom order (rendered-text comparison) as the final
+///    tie-break.
+///
+/// Callers that must discharge additional side conditions (e.g. the exit
+/// obligation coverage of a non-termination proof) iterate the ranked
+/// list and take the first set that passes; the empty list means no
+/// candidate subset certifies at all.
+pub fn synthesize_ranked(
+    system: &TransitionSystem,
+    candidates: &[Ineq],
+    samples: &[BTreeMap<String, Rational>],
+) -> Vec<RecurrentSet> {
+    let Some(vars) = loop_formals(system) else {
+        return Vec::new();
+    };
+    let Some(greatest) = greatest_inductive_subset(system, vars, candidates, samples) else {
+        return Vec::new();
+    };
+    // Greedy generalization: collect the chain of inductive subsets from
+    // the Houdini result towards weaker (larger) regions, one atom at a
+    // time. The chain has at most |greatest| elements, so the extra
+    // Farkas work stays quadratic in the (already pruned) atom count.
+    let mut chain: Vec<Vec<Ineq>> = vec![greatest.clone()];
+    let mut current = greatest;
+    while current.len() > 1 {
+        if simplex::deadline_exceeded() {
+            break;
         }
-    }
-
-    /// Adds a transition. Panics if the argument count does not match the
-    /// formal parameters.
-    pub fn add_transition(&mut self, transition: RecurrentTransition) {
-        assert_eq!(
-            transition.dst_vars.len(),
-            self.vars.len(),
-            "transition destination count mismatch"
-        );
-        assert_eq!(
-            transition.args.len(),
-            self.vars.len(),
-            "transition argument count mismatch"
-        );
-        self.transitions.push(transition);
-    }
-
-    /// The formal parameters of the loop predicate.
-    pub fn vars(&self) -> &[String] {
-        &self.vars
-    }
-
-    /// The transitions of the problem.
-    pub fn transitions(&self) -> &[RecurrentTransition] {
-        &self.transitions
-    }
-
-    /// Synthesizes a recurrent set from candidate atoms, or `None` when no
-    /// non-trivial closed subset with an entry state exists (or the simplex
-    /// work deadline expires mid-search).
-    ///
-    /// Candidates mentioning variables outside the formals are ignored. The
-    /// samples serve two purposes: they cheaply refute non-inductive
-    /// candidates before any LP runs, and the first sample inside the final
-    /// set becomes the entry witness (with an LP feasibility fall-back when no
-    /// sample qualifies).
-    ///
-    /// When several inductive subsets certify, the *most general* one is
-    /// returned (see [`Self::synthesize_ranked`] for the scoring rule); this
-    /// is what keeps enriched candidate pools from carving a needlessly small
-    /// region out of the divergent space.
-    pub fn synthesize(
-        &self,
-        candidates: &[Ineq],
-        samples: &[BTreeMap<String, Rational>],
-    ) -> Option<RecurrentSet> {
-        self.synthesize_ranked(candidates, samples)
+        let mut successors: Vec<Vec<Ineq>> = Vec::new();
+        for index in 0..current.len() {
+            let mut reduced = current.clone();
+            reduced.remove(index);
+            if is_inductive(system, &reduced) {
+                successors.push(reduced);
+            }
+        }
+        chain.extend(successors.iter().cloned());
+        let Some(best) = successors
             .into_iter()
-            .next()
-    }
-
-    /// Synthesizes every certified recurrent set along the greedy
-    /// generalization chain and returns them ranked most-general-first.
-    ///
-    /// The Houdini loop yields the *greatest* inductive atom subset — which,
-    /// being the largest conjunction, defines the **smallest** region. That is
-    /// the wrong preference when the candidate pool is rich: extra inductive
-    /// atoms (e.g. both `x - y ≥ 0` and `y - x ≥ 0`) carve a needlessly small
-    /// slab out of the divergent region. This method therefore walks the
-    /// generalization chain above the Houdini result: at each step it tries
-    /// every single-atom removal that keeps the remainder inductive, records
-    /// *every* certified successor (their Farkas checks are already paid), and
-    /// recurses along the best-scoring one. Recording the siblings matters:
-    /// callers discharge side conditions (e.g. exit coverage) against the
-    /// ranked list, and the set that passes them is often a sibling of the
-    /// greedy path — on `x' = y, y' = y + 1` the path itself runs through
-    /// half-plane sets that let the exit fire, while the passing full region
-    /// `x ≥ 0 ∧ y ≥ 0` is a recorded sibling. Every certified set is
-    /// returned, ordered by the deterministic score:
-    ///
-    /// 1. sample-coverage count, descending (more samples inside = more
-    ///    general);
-    /// 2. atom count, ascending (fewer conjuncts = weaker region);
-    /// 3. canonical atom order (rendered-text comparison) as the final
-    ///    tie-break.
-    ///
-    /// Callers that must discharge additional side conditions (e.g. the exit
-    /// obligation coverage of a non-termination proof) iterate the ranked
-    /// list and take the first set that passes; the empty list means no
-    /// candidate subset certifies at all.
-    pub fn synthesize_ranked(
-        &self,
-        candidates: &[Ineq],
-        samples: &[BTreeMap<String, Rational>],
-    ) -> Vec<RecurrentSet> {
-        let Some(greatest) = self.greatest_inductive_subset(candidates, samples) else {
-            return Vec::new();
+            .min_by(|a, b| compare_score(a, b, samples))
+        else {
+            break;
         };
-        // Greedy generalization: collect the chain of inductive subsets from
-        // the Houdini result towards weaker (larger) regions, one atom at a
-        // time. The chain has at most |greatest| elements, so the extra
-        // Farkas work stays quadratic in the (already pruned) atom count.
-        let mut chain: Vec<Vec<Ineq>> = vec![greatest.clone()];
-        let mut current = greatest;
-        while current.len() > 1 {
-            if simplex::deadline_exceeded() {
-                break;
-            }
-            let mut successors: Vec<Vec<Ineq>> = Vec::new();
-            for index in 0..current.len() {
-                let mut reduced = current.clone();
-                reduced.remove(index);
-                if self.is_inductive(&reduced) {
-                    successors.push(reduced);
-                }
-            }
-            chain.extend(successors.iter().cloned());
-            let Some(best) = successors
-                .into_iter()
-                .min_by(|a, b| self.compare_score(a, b, samples))
-            else {
-                break;
+        chain.push(best.clone());
+        current = best;
+    }
+    chain.sort_by(|a, b| compare_score(a, b, samples));
+    chain.dedup();
+    chain
+        .into_iter()
+        .filter_map(|atoms| {
+            let entry = samples
+                .iter()
+                .find(|s| atoms.iter().all(|a| a.holds(s)))
+                .map(|s| restrict(vars, s))
+                .or_else(|| lp_witness(vars, &atoms))?;
+            Some(RecurrentSet { atoms, entry })
+        })
+        .collect()
+}
+
+/// Number of samples inside the conjunction of `atoms` — the generality
+/// measure of the region scoring (deterministic for a fixed sample set).
+fn sample_coverage(atoms: &[Ineq], samples: &[BTreeMap<String, Rational>]) -> usize {
+    samples
+        .iter()
+        .filter(|s| atoms.iter().all(|a| a.holds(s)))
+        .count()
+}
+
+/// The deterministic score order of the ranked synthesis: coverage
+/// descending, then atom count ascending, then canonical atom order.
+fn compare_score(
+    a: &[Ineq],
+    b: &[Ineq],
+    samples: &[BTreeMap<String, Rational>],
+) -> std::cmp::Ordering {
+    let coverage_a = sample_coverage(a, samples);
+    let coverage_b = sample_coverage(b, samples);
+    coverage_b
+        .cmp(&coverage_a)
+        .then_with(|| a.len().cmp(&b.len()))
+        .then_with(|| {
+            let key = |atoms: &[Ineq]| -> Vec<String> {
+                let mut rendered: Vec<String> = atoms.iter().map(|atom| atom.to_string()).collect();
+                rendered.sort();
+                rendered
             };
-            chain.push(best.clone());
-            current = best;
+            key(a).cmp(&key(b))
+        })
+}
+
+/// The sample pre-filter plus Houdini shrink behind the synthesis: the
+/// greatest inductive subset of the candidates over `vars`, or `None` when
+/// it is empty (or the work deadline expired).
+fn greatest_inductive_subset(
+    system: &TransitionSystem,
+    vars: &[String],
+    candidates: &[Ineq],
+    samples: &[BTreeMap<String, Rational>],
+) -> Option<Vec<Ineq>> {
+    if system.transitions().is_empty() {
+        return None;
+    }
+    let mut atoms: Vec<Ineq> = Vec::new();
+    for candidate in candidates {
+        let in_scope = candidate.expr().vars().all(|v| vars.iter().any(|f| f == v));
+        if in_scope && !atoms.contains(candidate) {
+            atoms.push(candidate.clone());
         }
-        chain.sort_by(|a, b| self.compare_score(a, b, samples));
-        chain.dedup();
-        chain
-            .into_iter()
-            .filter_map(|atoms| {
-                let entry = samples
-                    .iter()
-                    .find(|s| atoms.iter().all(|a| a.holds(s)))
-                    .map(|s| self.restrict(s))
-                    .or_else(|| self.lp_witness(&atoms))?;
-                Some(RecurrentSet { atoms, entry })
-            })
-            .collect()
     }
 
-    /// Number of samples inside the conjunction of `atoms` — the generality
-    /// measure of the region scoring (deterministic for a fixed sample set).
-    pub fn sample_coverage(&self, atoms: &[Ineq], samples: &[BTreeMap<String, Rational>]) -> usize {
-        samples
-            .iter()
-            .filter(|s| atoms.iter().all(|a| a.holds(s)))
-            .count()
-    }
-
-    /// The deterministic score order of the ranked synthesis: coverage
-    /// descending, then atom count ascending, then canonical atom order.
-    fn compare_score(
-        &self,
-        a: &[Ineq],
-        b: &[Ineq],
-        samples: &[BTreeMap<String, Rational>],
-    ) -> std::cmp::Ordering {
-        let coverage_a = self.sample_coverage(a, samples);
-        let coverage_b = self.sample_coverage(b, samples);
-        coverage_b
-            .cmp(&coverage_a)
-            .then_with(|| a.len().cmp(&b.len()))
-            .then_with(|| {
-                let key = |atoms: &[Ineq]| -> Vec<String> {
-                    let mut rendered: Vec<String> =
-                        atoms.iter().map(|atom| atom.to_string()).collect();
-                    rendered.sort();
-                    rendered
+    // DynamiTe-style pre-filter: drop every candidate a concrete one-step
+    // simulation refutes. Dropping only weakens the conjunction, so this
+    // never loses soundness — the Farkas loop below certifies whatever
+    // survives.
+    let mut changed = true;
+    while changed && !atoms.is_empty() {
+        changed = false;
+        for sample in samples {
+            if !atoms.iter().all(|a| a.holds(sample)) {
+                continue;
+            }
+            for transition in system.transitions() {
+                let Some(dst) = concrete_step(system, transition, sample) else {
+                    continue;
                 };
-                key(a).cmp(&key(b))
-            })
+                let before = atoms.len();
+                atoms.retain(|a| a.holds(&dst));
+                if atoms.len() != before {
+                    changed = true;
+                }
+            }
+        }
     }
 
-    /// The sample pre-filter plus Houdini shrink shared by the synthesis entry
-    /// points: the greatest inductive subset of the in-scope candidates, or
-    /// `None` when it is empty (or the work deadline expired).
-    fn greatest_inductive_subset(
-        &self,
-        candidates: &[Ineq],
-        samples: &[BTreeMap<String, Rational>],
-    ) -> Option<Vec<Ineq>> {
-        if self.transitions.is_empty() {
+    // Houdini: shrink to the greatest inductive subset, certifying closure
+    // per transition via Farkas' lemma.
+    loop {
+        if atoms.is_empty() || simplex::deadline_exceeded() {
             return None;
         }
-        let mut atoms: Vec<Ineq> = Vec::new();
-        for candidate in candidates {
-            let in_scope = candidate
-                .expr()
-                .vars()
-                .all(|v| self.vars.iter().any(|f| f == v));
-            if in_scope && !atoms.contains(candidate) {
-                atoms.push(candidate.clone());
+        match first_escaping(system, &atoms) {
+            Some(index) => {
+                atoms.remove(index);
             }
+            None => break,
         }
-
-        // DynamiTe-style pre-filter: drop every candidate a concrete one-step
-        // simulation refutes. Dropping only weakens the conjunction, so this
-        // never loses soundness — the Farkas loop below certifies whatever
-        // survives.
-        let mut changed = true;
-        while changed && !atoms.is_empty() {
-            changed = false;
-            for sample in samples {
-                if !atoms.iter().all(|a| a.holds(sample)) {
-                    continue;
-                }
-                for transition in &self.transitions {
-                    let Some(dst) = self.concrete_step(transition, sample) else {
-                        continue;
-                    };
-                    let before = atoms.len();
-                    atoms.retain(|a| a.holds(&dst));
-                    if atoms.len() != before {
-                        changed = true;
-                    }
-                }
-            }
-        }
-
-        // Houdini: shrink to the greatest inductive subset, certifying closure
-        // per transition via Farkas' lemma.
-        loop {
-            if atoms.is_empty() || simplex::deadline_exceeded() {
-                return None;
-            }
-            let mut dropped = None;
-            'search: for transition in &self.transitions {
-                let mut premises = atoms.clone();
-                premises.extend(transition.guard.iter().cloned());
-                for (index, atom) in atoms.iter().enumerate() {
-                    let target = self.rename_to_dst(atom, transition);
-                    if !farkas::implies(&premises, &target) {
-                        dropped = Some(index);
-                        break 'search;
-                    }
-                }
-            }
-            match dropped {
-                Some(index) => {
-                    atoms.remove(index);
-                }
-                None => break,
-            }
-        }
-        Some(atoms)
     }
+    Some(atoms)
+}
 
-    /// Re-certifies that the conjunction of `atoms` is closed under every
-    /// transition (one sound Farkas implication check per transition × atom).
-    pub fn is_inductive(&self, atoms: &[Ineq]) -> bool {
-        self.transitions.iter().all(|transition| {
-            let mut premises = atoms.to_vec();
-            premises.extend(transition.guard.iter().cloned());
-            atoms
-                .iter()
-                .all(|atom| farkas::implies(&premises, &self.rename_to_dst(atom, transition)))
+/// The index of the first atom that some transition does not preserve: under
+/// the premises `atoms ∧ guard`, the atom renamed to the destination state
+/// has no Farkas certificate. Transitions are tried in order, and the atoms
+/// in order under each.
+fn first_escaping(system: &TransitionSystem, atoms: &[Ineq]) -> Option<usize> {
+    system.transitions().iter().find_map(|transition| {
+        let mut premises = atoms.to_vec();
+        premises.extend(transition.guard.iter().cloned());
+        atoms.iter().position(|atom| {
+            let target = Ineq::ge_zero(system.rename_to_dst(atom.expr(), transition));
+            !farkas::implies(&premises, &target)
         })
-    }
+    })
+}
 
-    /// Concrete self-check: for every sample inside the set, every enabled
-    /// transition step must land back inside the set.
-    ///
-    /// This is the built-in re-validation of synthesized sets on sampled
-    /// valuations; a sound synthesis can never fail it, so a `false` here
-    /// indicates a solver defect and callers must discard the certificate.
-    pub fn closed_on_samples(
-        &self,
-        set: &RecurrentSet,
-        samples: &[BTreeMap<String, Rational>],
-    ) -> bool {
-        samples.iter().all(|sample| {
-            if !set.contains(sample) {
-                return true;
+/// Re-certifies that the conjunction of `atoms` is closed under every
+/// transition (one sound Farkas implication check per transition × atom).
+pub fn is_inductive(system: &TransitionSystem, atoms: &[Ineq]) -> bool {
+    first_escaping(system, atoms).is_none()
+}
+
+/// Concrete self-check: for every sample inside the set, every enabled
+/// transition step must land back inside the set.
+///
+/// This is the built-in re-validation of synthesized sets on sampled
+/// valuations; a sound synthesis can never fail it, so a `false` here
+/// indicates a solver defect and callers must discard the certificate.
+pub fn closed_on_samples(
+    system: &TransitionSystem,
+    set: &RecurrentSet,
+    samples: &[BTreeMap<String, Rational>],
+) -> bool {
+    samples.iter().all(|sample| {
+        if !set.contains(sample) {
+            return true;
+        }
+        system.transitions().iter().all(|transition| {
+            match concrete_step(system, transition, sample) {
+                Some(dst) => set.contains(&dst),
+                None => true,
             }
-            self.transitions
-                .iter()
-                .all(|transition| match self.concrete_step(transition, sample) {
-                    Some(dst) => set.contains(&dst),
-                    None => true,
-                })
         })
-    }
+    })
+}
 
-    /// Simulates one step from `state`: pins auxiliary variables forced by the
-    /// guard's equalities (unit propagation), binds the destination variables
-    /// from the update expressions where the guard leaves them free, and
-    /// returns the successor state if the guard is satisfied (any remaining
-    /// unassigned variables default to zero, as in [`Lin::eval`]).
-    ///
-    /// The propagation matters for transitions extracted from call contexts,
-    /// whose update values flow through intermediate `aux = e` bindings: a
-    /// plain evaluation would read those auxiliaries as zero and disable (or
-    /// mis-simulate) the step.
-    pub(crate) fn concrete_step(
-        &self,
-        transition: &RecurrentTransition,
-        state: &BTreeMap<String, Rational>,
-    ) -> Option<BTreeMap<String, Rational>> {
-        let mut extended = state.clone();
-        // Equalities appear as `e ≥ 0` / `−e ≥ 0` atom pairs; each pins its
-        // single unassigned variable (if any) to the value making `e` zero.
-        let mut eq_exprs: Vec<&Lin> = Vec::new();
-        for (i, a) in transition.guard.iter().enumerate() {
-            for b in &transition.guard[i + 1..] {
-                if a.expr().add(b.expr()) == Lin::zero() {
-                    eq_exprs.push(a.expr());
-                }
+/// Simulates one step from `state`: pins auxiliary variables forced by the
+/// guard's equalities (unit propagation), binds the destination variables
+/// from the argument expressions where the guard leaves them free, and
+/// returns the successor state over the destination's formals if the guard is
+/// satisfied (any remaining unassigned variables default to zero, as in
+/// [`Lin::eval`]).
+///
+/// The propagation matters for transitions extracted from call contexts,
+/// whose argument values flow through intermediate `aux = e` bindings: a
+/// plain evaluation would read those auxiliaries as zero and disable (or
+/// mis-simulate) the step.
+pub(crate) fn concrete_step(
+    system: &TransitionSystem,
+    transition: &Transition,
+    state: &BTreeMap<String, Rational>,
+) -> Option<BTreeMap<String, Rational>> {
+    let mut extended = state.clone();
+    // Equalities appear as `e ≥ 0` / `−e ≥ 0` atom pairs; each pins its
+    // single unassigned variable (if any) to the value making `e` zero.
+    let mut eq_exprs: Vec<&Lin> = Vec::new();
+    for (i, a) in transition.guard.iter().enumerate() {
+        for b in &transition.guard[i + 1..] {
+            if a.expr().add(b.expr()) == Lin::zero() {
+                eq_exprs.push(a.expr());
             }
         }
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for expr in &eq_exprs {
-                let mut unassigned = None;
-                let mut ambiguous = false;
-                for v in expr.vars() {
-                    if !extended.contains_key(v) {
-                        if unassigned.is_some() {
-                            ambiguous = true;
-                            break;
-                        }
-                        unassigned = Some(v.to_string());
+    }
+    let mut progress = true;
+    while progress {
+        progress = false;
+        for expr in &eq_exprs {
+            let mut unassigned = None;
+            let mut ambiguous = false;
+            for v in expr.vars() {
+                if !extended.contains_key(v) {
+                    if unassigned.is_some() {
+                        ambiguous = true;
+                        break;
                     }
+                    unassigned = Some(v.to_string());
                 }
-                if ambiguous {
-                    continue;
-                }
-                let Some(v) = unassigned else { continue };
-                let coeff = expr.coeff(&v);
-                let rest = expr.substitute(&v, &Lin::zero());
-                extended.insert(v, -(rest.eval(&extended) * coeff.recip()));
-                progress = true;
             }
-        }
-        for (dst_var, arg) in transition.dst_vars.iter().zip(&transition.args) {
-            if !extended.contains_key(dst_var) {
-                let value = arg.eval(&extended);
-                extended.insert(dst_var.clone(), value);
+            if ambiguous {
+                continue;
             }
+            let Some(v) = unassigned else { continue };
+            let coeff = expr.coeff(&v);
+            let rest = expr.substitute(&v, &Lin::zero());
+            extended.insert(v, -(rest.eval(&extended) * coeff.recip()));
+            progress = true;
         }
-        if !transition.guard.iter().all(|g| g.holds(&extended)) {
-            return None;
-        }
-        Some(
-            self.vars
-                .iter()
-                .zip(&transition.dst_vars)
-                .map(|(formal, dst_var)| {
-                    (
-                        formal.clone(),
-                        extended
-                            .get(dst_var)
-                            .copied()
-                            .unwrap_or_else(Rational::zero),
-                    )
-                })
-                .collect(),
-        )
     }
-
-    /// Simultaneously renames the formals of an atom to a transition's
-    /// destination variables.
-    fn rename_to_dst(&self, atom: &Ineq, transition: &RecurrentTransition) -> Ineq {
-        let map: BTreeMap<&str, &str> = self
-            .vars
-            .iter()
-            .map(String::as_str)
-            .zip(transition.dst_vars.iter().map(String::as_str))
-            .collect();
-        let mut out = Lin::constant(atom.expr().constant_term());
-        for (v, c) in atom.expr().terms() {
-            out.add_term(map.get(v).copied().unwrap_or(v), c);
+    for (dst_var, arg) in transition.dst_vars.iter().zip(&transition.args) {
+        if !extended.contains_key(dst_var) {
+            let value = arg.eval(&extended);
+            extended.insert(dst_var.clone(), value);
         }
-        Ineq::ge_zero(out)
     }
-
-    fn restrict(&self, state: &BTreeMap<String, Rational>) -> BTreeMap<String, Rational> {
-        self.vars
+    if !transition.guard.iter().all(|g| g.holds(&extended)) {
+        return None;
+    }
+    Some(
+        system
+            .formals(transition.dst)
             .iter()
-            .map(|v| {
+            .zip(&transition.dst_vars)
+            .map(|(formal, dst_var)| {
                 (
-                    v.clone(),
-                    state.get(v).copied().unwrap_or_else(Rational::zero),
+                    formal.clone(),
+                    extended
+                        .get(dst_var)
+                        .copied()
+                        .unwrap_or_else(Rational::zero),
                 )
             })
-            .collect()
-    }
+            .collect(),
+    )
+}
 
-    /// Finds a rational entry state inside the atoms via LP feasibility.
-    fn lp_witness(&self, atoms: &[Ineq]) -> Option<BTreeMap<String, Rational>> {
-        let mut lp = LpProblem::new();
-        for v in &self.vars {
-            lp.declare(v, VarKind::Free);
-        }
-        for atom in atoms {
-            lp.require_nonneg(atom.expr().clone());
-        }
-        let solution = lp.solve();
-        if !solution.is_feasible() {
-            return None;
-        }
-        Some(
-            self.vars
-                .iter()
-                .map(|v| (v.clone(), solution.value(v)))
-                .collect(),
-        )
+fn restrict(vars: &[String], state: &BTreeMap<String, Rational>) -> BTreeMap<String, Rational> {
+    vars.iter()
+        .map(|v| {
+            (
+                v.clone(),
+                state.get(v).copied().unwrap_or_else(Rational::zero),
+            )
+        })
+        .collect()
+}
+
+/// Finds a rational entry state inside the atoms via LP feasibility.
+fn lp_witness(vars: &[String], atoms: &[Ineq]) -> Option<BTreeMap<String, Rational>> {
+    let mut lp = LpProblem::new();
+    for v in vars {
+        lp.declare(v, VarKind::Free);
     }
+    for atom in atoms {
+        lp.require_nonneg(atom.expr().clone());
+    }
+    let solution = lp.solve();
+    if !solution.is_feasible() {
+        return None;
+    }
+    Some(
+        vars.iter()
+            .map(|v| (v.clone(), solution.value(v)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -512,14 +425,26 @@ mod tests {
         pairs.iter().map(|(v, n)| (v.to_string(), r(*n))).collect()
     }
 
+    /// A loop predicate over `formals`, with no transitions yet.
+    fn loop_over(formals: &[&str]) -> TransitionSystem {
+        let mut p = TransitionSystem::new();
+        p.add_node(formals);
+        p
+    }
+
+    /// A self-call of the loop predicate.
+    fn self_call(dst_vars: Vec<String>, args: Vec<Lin>, guard: Vec<Ineq>) -> Transition {
+        Transition::new(NodeId(0), NodeId(0), dst_vars, args, guard)
+    }
+
     /// while (x >= 0) x = x + 1 — the whole guard region is recurrent.
-    fn incrementing_counter() -> RecurrentProblem {
-        let mut p = RecurrentProblem::new(vec!["x".to_string()]);
+    fn incrementing_counter() -> TransitionSystem {
+        let mut p = loop_over(&["x"]);
         let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
         guard.extend(Ineq::eq_zero(
             Lin::var("x'").sub(&Lin::var("x")).add_const(r(-1)),
         ));
-        p.add_transition(RecurrentTransition::new(
+        p.add_transition(self_call(
             vec!["x'".into()],
             vec![Lin::var("x").add_const(r(1))],
             guard,
@@ -532,30 +457,30 @@ mod tests {
         let p = incrementing_counter();
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
         let samples = vec![env(&[("x", 3)]), env(&[("x", -2)])];
-        let set = p.synthesize(&candidates, &samples).expect("x >= 0 recurs");
+        let set = synthesize(&p, &candidates, &samples).expect("x >= 0 recurs");
         assert_eq!(set.atoms.len(), 1);
         assert!(set.contains(&env(&[("x", 3)])));
         assert!(!set.contains(&env(&[("x", -1)])));
         assert_eq!(set.entry, env(&[("x", 3)]));
-        assert!(p.is_inductive(&set.atoms));
-        assert!(p.closed_on_samples(&set, &samples));
+        assert!(is_inductive(&p, &set.atoms));
+        assert!(closed_on_samples(&p, &set, &samples));
     }
 
     #[test]
     fn countdown_admits_no_recurrent_set_from_its_guard() {
         // while (x >= 0) x = x - 1 — x >= 0 is not closed (x = 0 steps out).
-        let mut p = RecurrentProblem::new(vec!["x".to_string()]);
+        let mut p = loop_over(&["x"]);
         let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
         guard.extend(Ineq::eq_zero(
             Lin::var("x'").sub(&Lin::var("x")).add_const(r(1)),
         ));
-        p.add_transition(RecurrentTransition::new(
+        p.add_transition(self_call(
             vec!["x'".into()],
             vec![Lin::var("x").add_const(r(-1))],
             guard,
         ));
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
-        assert!(p.synthesize(&candidates, &[env(&[("x", 5)])]).is_none());
+        assert!(synthesize(&p, &candidates, &[env(&[("x", 5)])]).is_none());
     }
 
     #[test]
@@ -567,9 +492,7 @@ mod tests {
             Ineq::ge(Lin::constant(r(5)), Lin::var("x")),
         ];
         let samples = vec![env(&[("x", 5)])];
-        let set = p
-            .synthesize(&candidates, &samples)
-            .expect("x >= 0 survives");
+        let set = synthesize(&p, &candidates, &samples).expect("x >= 0 survives");
         assert_eq!(set.atoms, vec![Ineq::ge_zero(Lin::var("x"))]);
     }
 
@@ -578,7 +501,7 @@ mod tests {
         let p = incrementing_counter();
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
         let samples = vec![env(&[("x", -7)])];
-        let set = p.synthesize(&candidates, &samples).expect("set exists");
+        let set = synthesize(&p, &candidates, &samples).expect("set exists");
         assert!(
             set.contains(&set.entry),
             "LP witness must satisfy the atoms"
@@ -588,21 +511,21 @@ mod tests {
     #[test]
     fn empty_candidate_pool_yields_nothing() {
         let p = incrementing_counter();
-        assert!(p.synthesize(&[], &[env(&[("x", 1)])]).is_none());
+        assert!(synthesize(&p, &[], &[env(&[("x", 1)])]).is_none());
     }
 
     #[test]
     fn no_transitions_yields_nothing() {
-        let p = RecurrentProblem::new(vec!["x".to_string()]);
+        let p = loop_over(&["x"]);
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
-        assert!(p.synthesize(&candidates, &[]).is_none());
+        assert!(synthesize(&p, &candidates, &[]).is_none());
     }
 
     #[test]
     fn out_of_scope_candidates_are_ignored() {
         let p = incrementing_counter();
         let candidates = vec![Ineq::ge_zero(Lin::var("y"))];
-        assert!(p.synthesize(&candidates, &[env(&[("x", 1)])]).is_none());
+        assert!(synthesize(&p, &candidates, &[env(&[("x", 1)])]).is_none());
     }
 
     #[test]
@@ -610,23 +533,51 @@ mod tests {
         // Outer loop of nt-nimkar-fig1.4: while (k >= 0) { k = k + 1; j = k;
         // inner loop drains j to 0 } — transition context carries an auxiliary
         // post-state of the inner loop, but k >= 0 is closed regardless of j.
-        let mut p = RecurrentProblem::new(vec!["j".to_string(), "k".to_string()]);
+        let mut p = loop_over(&["j", "k"]);
         let mut guard = vec![Ineq::ge_zero(Lin::var("k"))];
         guard.extend(Ineq::eq_zero(
             Lin::var("k'").sub(&Lin::var("k")).add_const(r(-1)),
         ));
         // j' is the inner loop's exit value: only j' <= k' is known.
         guard.push(Ineq::ge(Lin::var("k'"), Lin::var("j'")));
-        p.add_transition(RecurrentTransition::new(
+        p.add_transition(self_call(
             vec!["j'".into(), "k'".into()],
             vec![Lin::zero(), Lin::var("k").add_const(r(1))],
             guard,
         ));
         let candidates = vec![Ineq::ge_zero(Lin::var("k")), Ineq::ge_zero(Lin::var("j"))];
         let samples = vec![env(&[("j", 0), ("k", 2)])];
-        let set = p.synthesize(&candidates, &samples).expect("k >= 0 recurs");
+        let set = synthesize(&p, &candidates, &samples).expect("k >= 0 recurs");
         assert_eq!(set.atoms, vec![Ineq::ge_zero(Lin::var("k"))]);
-        assert!(p.is_inductive(&set.atoms));
-        assert!(p.closed_on_samples(&set, &samples));
+        assert!(is_inductive(&p, &set.atoms));
+        assert!(closed_on_samples(&p, &set, &samples));
+    }
+
+    #[test]
+    fn two_node_system_yields_no_recurrent_set() {
+        // even(x) calls odd(x + 1) and odd(x) calls even(x + 1), both under
+        // x >= 0: the region x >= 0 is closed under both calls, but the
+        // synthesis reads a single loop predicate, so a two-node system
+        // yields nothing.
+        let mut p = TransitionSystem::new();
+        let even = p.add_node(&["x"]);
+        let odd = p.add_node(&["x"]);
+        for (src, dst) in [(even, odd), (odd, even)] {
+            let next = Lin::var("x").add_const(r(1));
+            let mut guard = vec![Ineq::ge_zero(Lin::var("x"))];
+            guard.extend(Ineq::eq_zero(Lin::var("x'").sub(&next)));
+            p.add_transition(Transition::new(
+                src,
+                dst,
+                vec!["x'".into()],
+                vec![next],
+                guard,
+            ));
+        }
+        let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
+        let samples = vec![env(&[("x", 3)])];
+        assert!(is_inductive(&p, &candidates), "x >= 0 is closed");
+        assert!(synthesize(&p, &candidates, &samples).is_none());
+        assert!(synthesize_ranked(&p, &candidates, &samples).is_empty());
     }
 }

@@ -25,7 +25,8 @@
 use hiptnt::infer::{analyze_source, InferOptions, PreconditionKind, Verdict};
 use hiptnt::logic::testgen;
 use hiptnt::solver::farkas;
-use hiptnt::solver::recurrent::{RecurrentProblem, RecurrentTransition};
+use hiptnt::solver::recurrent::{self, RecurrentSet};
+use hiptnt::solver::system::{NodeId, Transition, TransitionSystem};
 use hiptnt::solver::{Ineq, Lin, Rational};
 use hiptnt::suite::templates::nimkar_aperiodic;
 use std::collections::BTreeMap;
@@ -85,24 +86,36 @@ fn constant(value: i128) -> Lin {
     Lin::constant(Rational::from(value))
 }
 
+/// A loop predicate over `formals`, with no transitions yet.
+fn loop_over(formals: &[&str]) -> TransitionSystem {
+    let mut system = TransitionSystem::new();
+    system.add_node(formals);
+    system
+}
+
+/// A self-call of the loop predicate.
+fn self_call(dst_vars: Vec<String>, args: Vec<Lin>, guard: Vec<Ineq>) -> Transition {
+    Transition::new(NodeId(0), NodeId(0), dst_vars, args, guard)
+}
+
 /// Checks one problem: whenever synthesis certifies a set, the set must be
 /// inductive under the external Farkas re-check, closed on every sampled
 /// valuation it contains, and must actually contain its own entry witness.
 fn assert_closed_if_synthesized(
-    problem: &RecurrentProblem,
+    problem: &TransitionSystem,
     candidates: &[Ineq],
     samples: &[BTreeMap<String, Rational>],
 ) -> bool {
-    let Some(set) = problem.synthesize(candidates, samples) else {
+    let Some(set) = recurrent::synthesize(problem, candidates, samples) else {
         return false;
     };
     assert!(
-        problem.is_inductive(&set.atoms),
+        recurrent::is_inductive(problem, &set.atoms),
         "synthesized set is not Farkas-inductive: {:?}",
         set.atoms
     );
     assert!(
-        problem.closed_on_samples(&set, samples),
+        recurrent::closed_on_samples(problem, &set, samples),
         "synthesized set escapes under concrete simulation: {:?}",
         set.atoms
     );
@@ -126,15 +139,11 @@ fn synthesized_recurrent_sets_are_closed_on_sampled_valuations() {
         .collect();
     for step in 0..4 {
         for low in -3..4 {
-            let mut problem = RecurrentProblem::new(vec!["x".to_string()]);
+            let mut problem = loop_over(&["x"]);
             let update = x().add(&constant(step));
             let mut guard = vec![Ineq::ge_zero(x().sub(&constant(low)))];
             guard.extend(Ineq::eq_zero(Lin::var("x@dst").sub(&update)));
-            problem.add_transition(RecurrentTransition::new(
-                vec!["x@dst".to_string()],
-                vec![update],
-                guard,
-            ));
+            problem.add_transition(self_call(vec!["x@dst".to_string()], vec![update], guard));
             if assert_closed_if_synthesized(&problem, &candidates, &samples) {
                 synthesized += 1;
             }
@@ -150,11 +159,11 @@ fn synthesized_recurrent_sets_are_closed_on_sampled_valuations() {
         Ineq::ge_zero(y()),
         Ineq::ge_zero(constant(0).sub(&y())),
     ];
-    let mut problem = RecurrentProblem::new(vec!["x".to_string(), "y".to_string()]);
+    let mut problem = loop_over(&["x", "y"]);
     let mut guard = vec![Ineq::ge_zero(x())];
     guard.extend(Ineq::eq_zero(Lin::var("x@dst").sub(&x().add(&y()))));
     guard.extend(Ineq::eq_zero(Lin::var("y@dst").sub(&y())));
-    problem.add_transition(RecurrentTransition::new(
+    problem.add_transition(self_call(
         vec!["x@dst".to_string(), "y@dst".to_string()],
         vec![x().add(&y()), y()],
         guard,
@@ -181,11 +190,11 @@ fn synthesized_recurrent_sets_are_closed_on_sampled_valuations() {
 fn enriched_pool_selects_the_full_region_not_a_difference_slab() {
     // Solver level: the full region outranks the cone slab in the ranked
     // synthesis even though both certify.
-    let mut problem = RecurrentProblem::new(vec!["x".to_string(), "y".to_string()]);
+    let mut problem = loop_over(&["x", "y"]);
     let mut guard = vec![Ineq::ge_zero(x())];
     guard.extend(Ineq::eq_zero(Lin::var("x@dst").sub(&y())));
     guard.extend(Ineq::eq_zero(Lin::var("y@dst").sub(&y().add(&constant(1)))));
-    problem.add_transition(RecurrentTransition::new(
+    problem.add_transition(self_call(
         vec!["x@dst".to_string(), "y@dst".to_string()],
         vec![y(), y().add(&constant(1))],
         guard,
@@ -197,9 +206,9 @@ fn enriched_pool_selects_the_full_region_not_a_difference_slab() {
         Ineq::ge_zero(x().sub(&y())),
     ];
     let samples = rational_samples(&["x", "y"]);
-    let ranked = problem.synthesize_ranked(&candidates, &samples);
+    let ranked = recurrent::synthesize_ranked(&problem, &candidates, &samples);
     assert!(!ranked.is_empty(), "the drift shape must certify sets");
-    let atoms_of = |set: &hiptnt::solver::recurrent::RecurrentSet| -> Vec<String> {
+    let atoms_of = |set: &RecurrentSet| -> Vec<String> {
         let mut rendered: Vec<String> = set.atoms.iter().map(|a| a.to_string()).collect();
         rendered.sort();
         rendered
@@ -256,13 +265,13 @@ fn selected_region_is_never_strictly_covered_by_another_certified_set() {
     let mut checked = 0usize;
     for step in 0..3i128 {
         for low in -2..3i128 {
-            let mut problem = RecurrentProblem::new(vec!["x".to_string(), "y".to_string()]);
+            let mut problem = loop_over(&["x", "y"]);
             let x_update = x().add(&y());
             let y_update = y().add(&constant(step));
             let mut guard = vec![Ineq::ge_zero(x().sub(&constant(low)))];
             guard.extend(Ineq::eq_zero(Lin::var("x@dst").sub(&x_update)));
             guard.extend(Ineq::eq_zero(Lin::var("y@dst").sub(&y_update)));
-            problem.add_transition(RecurrentTransition::new(
+            problem.add_transition(self_call(
                 vec!["x@dst".to_string(), "y@dst".to_string()],
                 vec![x_update, y_update],
                 guard,
@@ -276,7 +285,7 @@ fn selected_region_is_never_strictly_covered_by_another_certified_set() {
                 Ineq::ge_zero(x().sub(&y())),
                 Ineq::ge_zero(x().add(&y())),
             ];
-            let ranked = problem.synthesize_ranked(&candidates, &samples);
+            let ranked = recurrent::synthesize_ranked(&problem, &candidates, &samples);
             let Some(selected) = ranked.first() else {
                 continue;
             };

@@ -1,10 +1,10 @@
 //! Micro-benchmarks of the solving back-end (simplex, entailment, ranking synthesis)
-//! and of its leaf kernels (`kernel/*`: rational arithmetic, the DNF And-product and
-//! Farkas-shaped LPs, one small and one wide), which break the cold corpus pass
-//! down by kernel.
+//! and of its leaf kernels (`kernel/*`: rational arithmetic, the DNF And-product,
+//! cube satisfiability on the bounded simplex and Farkas-shaped LPs, one small and
+//! one wide), which break the cold corpus pass down by kernel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tnt_logic::{dnf, entail, num, var, Constraint, Formula};
+use tnt_logic::{dnf, entail, num, sat, var, Constraint, Formula};
 use tnt_solver::farkas::{encode_implication, MultiplierSource, TemplateLin};
 use tnt_solver::lexicographic::synthesize_lexicographic_mixed;
 use tnt_solver::lp::LpProblem;
@@ -79,6 +79,57 @@ fn kernel_dnf_product(c: &mut Criterion) {
     });
 }
 
+/// 256 seeded cubes shaped like the corpus's cube checks: five or six atoms
+/// over four variables, one to four of them per atom with small integer
+/// coefficients, one atom in four an equality; about half are infeasible.
+fn kernel_cube_sat(c: &mut Criterion) {
+    // SplitMix64: a fixed stream, independent of any RNG crate.
+    let mut state: u64 = 0x0C0B_E5A7;
+    let mut next = |bound: u64| -> i128 {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound) as i128
+    };
+    let vars = ["x", "y", "z", "w"];
+    let cubes: Vec<Vec<Constraint>> = (0..256)
+        .map(|_| {
+            (0..5 + next(2))
+                .map(|_| {
+                    let mut lhs = Lin::constant(Rational::from(next(9) - 4));
+                    for v in vars {
+                        if next(5) < 2 {
+                            lhs.add_term(v, Rational::from([-2, -1, 1, 2][next(4) as usize]));
+                        }
+                    }
+                    if lhs.is_constant() {
+                        lhs.add_term(vars[next(4) as usize], Rational::one());
+                    }
+                    if next(4) == 0 {
+                        Constraint::eq(lhs, Lin::zero())
+                    } else {
+                        Constraint::ge(lhs, Lin::zero())
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let feasible = cubes.iter().filter(|cube| sat::cube_sat(cube)).count();
+    assert!(
+        (64..192).contains(&feasible),
+        "the cube set must mix feasible and infeasible cubes: {feasible} of 256 feasible"
+    );
+    c.bench_function("kernel/cube_sat", |b| {
+        b.iter(|| {
+            black_box(&cubes)
+                .iter()
+                .filter(|cube| sat::cube_sat(cube))
+                .count()
+        })
+    });
+}
+
 /// A Farkas-shaped feasibility LP of 216 equality rows: one affine template
 /// over eight variables bounded below on 24 fractional polyhedra.
 fn kernel_farkas_lp(c: &mut Criterion) {
@@ -127,6 +178,7 @@ criterion_group!(
     entailment_query,
     kernel_rational,
     kernel_dnf_product,
+    kernel_cube_sat,
     kernel_farkas_lp,
     kernel_farkas_lp_wide
 );

@@ -646,7 +646,8 @@ fn scc_members(theta: &Theta, scc: &[String]) -> Option<Vec<(String, usize, Stri
 }
 
 /// The deterministic work measure budgeted by [`SolveOptions::work_budget`]:
-/// simplex pivots plus DNF cubes, the two super-linear cores of the back-end.
+/// simplex pivots plus DNF cubes and satisfiability-search nodes
+/// (`tnt_logic::dnf::cube_work`), the super-linear cores of the back-end.
 ///
 /// The counter is monotone and **per-thread**; callers that need to attribute the
 /// work spent by a unit of analysis (including one that panics mid-way) snapshot

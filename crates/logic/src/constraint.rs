@@ -27,6 +27,17 @@ pub enum RelOp {
     Ne,
 }
 
+impl RelOp {
+    /// Whether `value (op) 0` holds.
+    pub(crate) fn compares(self, value: Rational) -> bool {
+        match self {
+            RelOp::Ge => !value.is_negative(),
+            RelOp::Eq => value.is_zero(),
+            RelOp::Ne => !value.is_zero(),
+        }
+    }
+}
+
 /// A canonical linear integer constraint `expr (≥|=|≠) 0`.
 ///
 /// The expression is shared: cloning a constraint (as the DNF And-distribution
@@ -160,12 +171,7 @@ impl Constraint {
             .iter()
             .map(|(k, v)| (k.clone(), Rational::from(*v)))
             .collect();
-        let value = self.expr.eval(&env);
-        match self.op {
-            RelOp::Ge => !value.is_negative(),
-            RelOp::Eq => value.is_zero(),
-            RelOp::Ne => !value.is_zero(),
-        }
+        self.op.compares(self.expr.eval(&env))
     }
 
     /// If the constraint has no variables, evaluates it to a boolean.
@@ -173,72 +179,22 @@ impl Constraint {
         if !self.expr.is_constant() {
             return None;
         }
-        let value = self.expr.constant_term();
-        Some(match self.op {
-            RelOp::Ge => !value.is_negative(),
-            RelOp::Eq => value.is_zero(),
-            RelOp::Ne => !value.is_zero(),
-        })
+        Some(self.op.compares(self.expr.constant_term()))
     }
 
     /// Integer normalisation: divides the expression by the gcd of its variable
-    /// coefficients and tightens the constant accordingly. Returns `None` when the
-    /// normalisation discovers the constraint is unsatisfiable (e.g. `2x = 1`), and
+    /// coefficients and tightens the constant accordingly; the satisfiability
+    /// search asserts the same numbers. Returns `None` when the normalisation
+    /// discovers the constraint is unsatisfiable (e.g. `2x = 1`), and
     /// `Some(normalised)` otherwise.
     ///
     /// All expressions in this crate have integer coefficients by construction of the
     /// front-end; rational coefficients are first scaled to integers.
     pub fn normalise(&self) -> Option<Constraint> {
-        // Scale to integer coefficients.
-        let mut denom_lcm: i128 = 1;
-        for (_, c) in self.expr.terms() {
-            denom_lcm = lcm(denom_lcm, c.denom());
-        }
-        denom_lcm = lcm(denom_lcm, self.expr.constant_term().denom());
-        let scaled = if denom_lcm == 1 {
-            Arc::clone(&self.expr)
-        } else {
-            Arc::new(self.expr.scale(Rational::from(denom_lcm)))
-        };
-
-        let mut g: i128 = 0;
-        for (_, c) in scaled.terms() {
-            g = gcd(g, c.numer());
-        }
-        if g == 0 {
-            // Constant constraint: leave untouched (const_eval handles it).
-            return Some(Constraint {
-                expr: scaled,
-                op: self.op,
-            });
-        }
-        let constant = scaled.constant_term().numer();
-        match self.op {
-            RelOp::Eq => {
-                if constant % g != 0 {
-                    return None;
-                }
-                Some(Constraint::from_parts(
-                    scaled.scale(Rational::new(1, g)),
-                    RelOp::Eq,
-                ))
-            }
-            RelOp::Ge => {
-                // (g·e' + k ≥ 0) ⇔ (e' ≥ ⌈-k/g⌉) ⇔ (e' + ⌊k/g⌋ ≥ 0)
-                let vars_part = scaled.sub(&Lin::constant(scaled.constant_term()));
-                let tightened = Rational::new(constant, g).floor();
-                Some(Constraint::from_parts(
-                    vars_part
-                        .scale(Rational::new(1, g))
-                        .add_const(Rational::from(tightened)),
-                    RelOp::Ge,
-                ))
-            }
-            RelOp::Ne => Some(Constraint {
-                expr: scaled,
-                op: RelOp::Ne,
-            }),
-        }
+        let mut terms: Vec<(&str, Rational)> = self.expr.terms().collect();
+        let constant = integer_form(self.op, &mut terms, self.expr.constant_term())?;
+        let expr = Lin::from_terms(terms.into_iter().map(|(v, c)| (v.to_string(), c)), constant);
+        Some(Constraint::from_parts(expr, self.op))
     }
 
     /// Converts the constraint into solver inequalities (`≥ 0` form). `≠` atoms cannot
@@ -250,6 +206,51 @@ impl Constraint {
             RelOp::Ne => None,
         }
     }
+}
+
+/// The integer normal form of the atom `Σ terms + constant (op) 0`, computed
+/// in place on the terms; returns the normal form's constant.
+///
+/// Coefficients and constant are scaled by the lcm of their denominators.
+/// Then, unless `op` is `≠` or no variable is left, the coefficients are
+/// divided by their gcd `g`: an inequality's constant is rounded down
+/// (`g·e + k ≥ 0 ⇔ e + ⌊k/g⌋ ≥ 0` over the integers), and an equality whose
+/// constant `g` does not divide has no integer solution, so `None` is
+/// returned.
+pub(crate) fn integer_form<T>(
+    op: RelOp,
+    terms: &mut [(T, Rational)],
+    constant: Rational,
+) -> Option<Rational> {
+    let mut denominators = constant.denom();
+    for (_, c) in terms.iter() {
+        denominators = lcm(denominators, c.denom());
+    }
+    let mut constant = constant;
+    if denominators != 1 {
+        let scale = Rational::from(denominators);
+        for (_, c) in terms.iter_mut() {
+            *c = *c * scale;
+        }
+        constant = constant * scale;
+    }
+    let g = terms.iter().fold(0, |g, (_, c)| gcd(g, c.numer()));
+    if g == 0 || op == RelOp::Ne {
+        return Some(constant);
+    }
+    if op == RelOp::Eq && constant.numer() % g != 0 {
+        return None;
+    }
+    if g != 1 {
+        for (_, c) in terms.iter_mut() {
+            *c = Rational::new(c.numer(), g);
+        }
+        constant = match op {
+            RelOp::Ge => Rational::from(Rational::new(constant.numer(), g).floor()),
+            _ => Rational::new(constant.numer(), g),
+        };
+    }
+    Some(constant)
 }
 
 fn gcd(a: i128, b: i128) -> i128 {

@@ -1,8 +1,10 @@
 //! Negation normal form and disjunctive normal form.
 //!
-//! The satisfiability and entailment procedures of this crate work on the disjunctive
-//! normal form of a formula: a set of *cubes*, each cube being a conjunction of
-//! canonical constraints with the `≠` atoms already split into their two strict cases.
+//! The simplifier ([`crate::simplify::prune`]) and the projection ([`crate::qe`])
+//! work on the disjunctive normal form of a formula: a set of *cubes*, each cube
+//! being a conjunction of canonical constraints with the `≠` atoms already split
+//! into their two strict cases. Satisfiability ([`crate::sat`]) does not expand
+//! eagerly: it searches the negation normal form branch by branch.
 //!
 //! Existential quantifiers in *positive* position are handled exactly by renaming the
 //! bound variables to globally fresh names (satisfiability is preserved). A quantifier
@@ -122,15 +124,18 @@ thread_local! {
     static CAP_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The per-conversion cube cap.
+/// The per-conversion cube cap, which is also the node cap of one
+/// satisfiability search ([`crate::sat`]).
 ///
 /// A single [`to_dnf`] call that would produce more than this many cubes is
-/// abandoned and over-approximated by the TRUE cube (see [`to_dnf`]); the event
-/// is visible through [`cap_events`]. 50k cubes is far above anything a
-/// within-budget analysis produces.
-const CUBE_CAP: u64 = 50_000;
+/// abandoned and over-approximated by the TRUE cube (see [`to_dnf`]); a search
+/// that would visit more nodes answers "satisfiable", the same
+/// over-approximation. Either event is visible through [`cap_events`]. 50k is
+/// far above anything a within-budget analysis produces.
+pub(crate) const CUBE_CAP: u64 = 50_000;
 
-/// Monotone per-thread count of conversions abandoned at the cube cap.
+/// Monotone per-thread count of conversions and searches abandoned at the
+/// cube cap.
 ///
 /// Callers that cannot tolerate the TRUE-cube over-approximation (e.g. the
 /// base-case inference, which uses projections in a strengthening position)
@@ -140,19 +145,24 @@ pub fn cap_events() -> u64 {
     CAP_EVENTS.with(|c| c.get())
 }
 
+pub(crate) fn record_cap_event() {
+    CAP_EVENTS.with(|c| c.set(c.get().wrapping_add(1)));
+}
+
 /// Monotone per-thread count of DNF cubes produced since thread start,
-/// including the intermediate cubes of And-distribution products.
+/// including the intermediate cubes of And-distribution products, plus the
+/// nodes visited by the satisfiability search of [`crate::sat`].
 ///
-/// The DNF conversion is the exponential core of every satisfiability and
-/// entailment query in this crate, so its cube output is a faithful,
-/// deterministic proxy for formula-manipulation work — the analogue of
+/// Both are the logic layer's exponential cores — a cube or a search node is
+/// one partial conjunction — so the count is a deterministic proxy for
+/// formula-manipulation work, the analogue of
 /// `tnt_solver::simplex::pivot_work` for the logic layer. Budgeted callers
 /// snapshot it before a unit of work and compare deltas afterwards.
 pub fn cube_work() -> u64 {
     CUBE_WORK.with(|w| w.get())
 }
 
-fn record_cubes(count: u64) {
+pub(crate) fn record_cubes(count: u64) {
     CUBE_WORK.with(|w| w.set(w.get().wrapping_add(count)));
 }
 
@@ -170,7 +180,7 @@ fn consume_allowance(amount: u64) -> bool {
             true
         } else {
             r.set(0);
-            CAP_EVENTS.with(|c| c.set(c.get().wrapping_add(1)));
+            record_cap_event();
             false
         }
     })

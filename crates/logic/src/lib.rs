@@ -9,10 +9,12 @@
 //!
 //! * [`Constraint`] / [`Formula`] — linear integer atoms and boolean structure
 //!   (conjunction, disjunction, negation, existential quantification).
-//! * [`dnf`] — negation normal form and disjunctive normal form.
-//! * [`sat`] — satisfiability of quantifier-free formulas, via DNF expansion, gcd-based
-//!   integer normalisation of the atoms and a rational-relaxation feasibility check on
-//!   the exact simplex from [`tnt_solver`].
+//! * [`dnf`] — negation normal form (the start of every satisfiability query) and
+//!   disjunctive normal form (used by the simplifier and the projection).
+//! * [`sat`] — satisfiability, as a depth-first search over the negation normal form
+//!   that asserts gcd-normalised atoms on one bounded general simplex per query
+//!   ([`tnt_solver::bounded`]), branches on disjunctions and `≠`, and prunes a branch
+//!   once its partial cube is infeasible over the rationals.
 //! * [`entail`] — entailment and validity, reduced to unsatisfiability.
 //! * [`qe`] — existential-quantifier elimination / projection by equality substitution
 //!   and Fourier–Motzkin combination (an over-approximation on the integers, which is

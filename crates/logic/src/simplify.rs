@@ -96,9 +96,16 @@ fn prune_cube(cube: &Cube) -> Cube {
 
 /// Semantically prunes a quantifier-free formula via its DNF.
 ///
-/// The result is logically equivalent to the input (both directions are entailment-
-/// checked during construction) but syntactically smaller in the common cases produced
-/// by the inference engine.
+/// The formula is expanded into DNF; unsatisfiable cubes are dropped, each
+/// constraint entailed by the rest of its cube is dropped, cubes subsumed by
+/// another cube are dropped, and a valid result becomes `True`. Each of these steps
+/// keeps the formula equivalent, and no check of the result against the input
+/// runs. The result is therefore equivalent to the input *unless the DNF
+/// expansion overflows the cube cap*: [`dnf::to_dnf`] then returns the TRUE cube,
+/// and `prune` returns `True`, an over-approximation of the input (visible as a
+/// [`dnf::cap_events`] increment). Callers in strengthening positions snapshot
+/// that counter. Expanding through the lazy satisfiability search instead, and
+/// returning the input on overflow, is open (ROADMAP item 3(c)).
 pub fn prune(formula: &Formula) -> Formula {
     let simplified = simplify(formula);
     if simplified.is_true() || simplified.is_false() {

@@ -14,6 +14,10 @@
 //! * [`Rational`] — exact rational numbers over `i128` with automatic normalisation.
 //! * [`simplex`] — a primal simplex method (Bland's rule, phase I/II) over exact rationals.
 //! * [`lp`] — a named-variable linear-program builder on top of the simplex core.
+//! * [`bounded`] — a bounded general simplex (Dutertre & de Moura) deciding the
+//!   feasibility of conjunctions of bounds on variables and slack rows, with
+//!   bounds asserted and retracted on one tableau; the kernel of the logic
+//!   layer's satisfiability search.
 //! * [`farkas`] — Farkas'-lemma encodings of universally quantified linear implications
 //!   into existentially quantified linear systems over multipliers and template parameters.
 //! * [`system`] — the transition system of an SCC that every prover below reads:
@@ -65,6 +69,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bounded;
 pub mod farkas;
 pub mod lexicographic;
 pub mod linear;

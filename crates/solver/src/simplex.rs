@@ -34,7 +34,7 @@ pub fn pivot_work() -> u64 {
     PIVOT_WORK.with(|w| w.get())
 }
 
-fn record_pivot() {
+pub(crate) fn record_pivot() {
     PIVOT_WORK.with(|w| w.set(w.get().wrapping_add(1)));
 }
 

@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the solving back-end (simplex, entailment, ranking synthesis)
 //! and of its leaf kernels (`kernel/*`: rational arithmetic, the DNF And-product,
-//! cube satisfiability on the bounded simplex and Farkas-shaped LPs, one small and
-//! one wide), which break the cold corpus pass down by kernel.
+//! cube satisfiability and concrete Farkas entailments on the bounded simplex, and
+//! Farkas-shaped LPs, one small and one wide), which break the cold corpus pass
+//! down by kernel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tnt_logic::{dnf, entail, num, sat, var, Constraint, Formula};
-use tnt_solver::farkas::{encode_implication, MultiplierSource, TemplateLin};
+use tnt_solver::farkas::{self, encode_implication, MultiplierSource, TemplateLin};
 use tnt_solver::lexicographic::synthesize_lexicographic_mixed;
 use tnt_solver::lp::LpProblem;
 use tnt_solver::system::{Transition, TransitionSystem};
@@ -163,6 +164,32 @@ fn kernel_farkas_lp(c: &mut Criterion) {
     });
 }
 
+/// The concrete entailment checks of the Farkas differential gate: 256
+/// seeded premise sets of one to twelve fractional inequalities, about half
+/// of them unsatisfiable, each asked its one to six conclusions through one
+/// `Entailment`, as the closure checks ask them.
+fn kernel_farkas_implies(c: &mut Criterion) {
+    let cases = farkas::seeded_entailments(0xFA4CA5, 256);
+    let answer = |cases: &[(Vec<Ineq>, Vec<Ineq>)]| -> usize {
+        cases
+            .iter()
+            .map(|(premises, conclusions)| {
+                let mut entailment = farkas::Entailment::new(premises);
+                conclusions.iter().filter(|c| entailment.implies(c)).count()
+            })
+            .sum()
+    };
+    let total: usize = cases.iter().map(|(_, conclusions)| conclusions.len()).sum();
+    let entailed = answer(&cases);
+    assert!(
+        (total / 4..total * 3 / 4).contains(&entailed),
+        "the checks must mix both answers: {entailed} of {total} entailed"
+    );
+    c.bench_function("kernel/farkas_implies", |b| {
+        b.iter(|| answer(black_box(&cases)))
+    });
+}
+
 /// The wide Farkas-shaped LP of the simplex pin test: 1,000 rows over 3,002
 /// structural columns, at most six non-zeros per row before fill-in.
 fn kernel_farkas_lp_wide(c: &mut Criterion) {
@@ -180,6 +207,7 @@ criterion_group!(
     kernel_dnf_product,
     kernel_cube_sat,
     kernel_farkas_lp,
+    kernel_farkas_implies,
     kernel_farkas_lp_wide
 );
 criterion_main!(micro);

@@ -231,15 +231,20 @@ pub fn prove_term_conditional(
         for edge in &edge_data {
             let src_atoms = atoms.get(&edge.src).cloned().unwrap_or_default();
             let current = atoms.get(&edge.dst).cloned().unwrap_or_default();
+            let premises: Vec<Vec<Ineq>> = edge
+                .cubes
+                .iter()
+                .map(|cube| cube.iter().chain(&src_atoms).cloned().collect())
+                .collect();
+            let mut entailments: Vec<farkas::Entailment> = premises
+                .iter()
+                .map(|p| farkas::Entailment::new(p))
+                .collect();
             let retained: Vec<Ineq> = current
                 .iter()
                 .filter(|atom| {
                     let target = instantiate_ineq(atom, &edge.dst_vars, &edge.args);
-                    edge.cubes.iter().all(|cube| {
-                        let mut premises = cube.clone();
-                        premises.extend(src_atoms.iter().cloned());
-                        farkas::implies(&premises, &target)
-                    })
+                    entailments.iter_mut().all(|e| e.implies(&target))
                 })
                 .cloned()
                 .collect();
@@ -344,11 +349,12 @@ fn atoms_implied_by_all(regions: &[Formula]) -> Vec<Ineq> {
             }
         }
     }
-    pool.retain(|atom| {
-        all_cubes
-            .iter()
-            .all(|cubes| cubes.iter().all(|cube| farkas::implies(cube, atom)))
-    });
+    let mut entailments: Vec<farkas::Entailment> = all_cubes
+        .iter()
+        .flatten()
+        .map(|cube| farkas::Entailment::new(cube))
+        .collect();
+    pool.retain(|atom| entailments.iter_mut().all(|e| e.implies(atom)));
     pool
 }
 

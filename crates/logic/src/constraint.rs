@@ -124,14 +124,27 @@ impl Constraint {
         Constraint::from_parts(self.expr.rename(from, to), self.op)
     }
 
-    /// The logical negation of the constraint, as a disjunction of constraints
-    /// (a single one except for the negation of an equality).
+    /// The lcm `L` of the expression's denominators, the first step of the
+    /// integer normal form: `L·e` is integer-valued on integer points and has
+    /// the sign of `e`.
+    fn integral_scale(&self) -> Rational {
+        Rational::from(denominator_lcm(
+            self.expr
+                .terms()
+                .map(|(_, c)| c)
+                .chain([self.expr.constant_term()]),
+        ))
+    }
+
+    /// The logical negation of the constraint over the integers, as a
+    /// disjunction of constraints (a single one except for the negation of an
+    /// equality).
     pub fn negate(&self) -> Vec<Constraint> {
         match self.op {
-            // ¬(e ≥ 0)  ⇔  e ≤ -1  ⇔  -e - 1 ≥ 0
+            // ¬(e ≥ 0)  ⇔  L·e ≤ -1  ⇔  -L·e - 1 ≥ 0, with L·e integral
             RelOp::Ge => vec![Constraint::from_parts(
                 self.expr
-                    .scale(-Rational::one())
+                    .scale(-self.integral_scale())
                     .add_const(-Rational::one()),
                 RelOp::Ge,
             )],
@@ -148,18 +161,21 @@ impl Constraint {
         }
     }
 
-    /// Splits an `≠` atom into its two strict cases `e ≥ 1` and `−e ≥ 1`.
+    /// Splits an `≠` atom into its two strict cases over the integers,
+    /// `L·e ≥ 1` and `−L·e ≥ 1`, with `L·e` the expression made integral.
     /// Returns `None` for other operators.
     pub fn split_ne(&self) -> Option<[Constraint; 2]> {
         if self.op != RelOp::Ne {
             return None;
         }
+        let scale = self.integral_scale();
         Some([
-            Constraint::from_parts(self.expr.add_const(-Rational::one()), RelOp::Ge),
             Constraint::from_parts(
-                self.expr
-                    .scale(-Rational::one())
-                    .add_const(-Rational::one()),
+                self.expr.scale(scale).add_const(-Rational::one()),
+                RelOp::Ge,
+            ),
+            Constraint::from_parts(
+                self.expr.scale(-scale).add_const(-Rational::one()),
                 RelOp::Ge,
             ),
         ])
@@ -222,10 +238,7 @@ pub(crate) fn integer_form<T>(
     terms: &mut [(T, Rational)],
     constant: Rational,
 ) -> Option<Rational> {
-    let mut denominators = constant.denom();
-    for (_, c) in terms.iter() {
-        denominators = lcm(denominators, c.denom());
-    }
+    let denominators = denominator_lcm(terms.iter().map(|(_, c)| *c).chain([constant]));
     let mut constant = constant;
     if denominators != 1 {
         let scale = Rational::from(denominators);
@@ -251,6 +264,11 @@ pub(crate) fn integer_form<T>(
         };
     }
     Some(constant)
+}
+
+/// The lcm of the denominators of `values`.
+fn denominator_lcm(values: impl Iterator<Item = Rational>) -> i128 {
+    values.fold(1, |l, v| lcm(l, v.denom()))
 }
 
 fn gcd(a: i128, b: i128) -> i128 {
@@ -284,6 +302,7 @@ impl fmt::Display for Constraint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formula::Formula;
     use crate::testgen;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -419,16 +438,87 @@ mod tests {
         }
     }
 
+    /// A random affine expression over `x`, `y` with fractional coefficients
+    /// and constant.
+    fn fractional_lin(rng: &mut SmallRng) -> Lin {
+        let fraction =
+            |rng: &mut SmallRng| Rational::new(rng.gen_range(-6i128..7), rng.gen_range(1i128..5));
+        let mut lin = Lin::constant(fraction(rng));
+        for v in ["x", "y"] {
+            if rng.gen_bool(0.7) {
+                lin.add_term(v, fraction(rng));
+            }
+        }
+        lin
+    }
+
     #[test]
     fn prop_split_ne_is_exclusive_cover() {
         let mut rng = SmallRng::seed_from_u64(0xC0503);
-        for _ in 0..512 {
+        for _ in 0..1024 {
             let env = testgen::int_env(&mut rng, &VARS, -30..30);
-            let k = rng.gen_range(-5i128..5);
-            let c = Constraint::ne(Lin::var("x"), Lin::constant(Rational::from(k)));
+            let c = Constraint::ne(fractional_lin(&mut rng), Lin::zero());
             let [a, b] = c.split_ne().unwrap();
-            assert_eq!(c.holds(&env), a.holds(&env) || b.holds(&env));
-            assert!(!(a.holds(&env) && b.holds(&env)));
+            assert_eq!(
+                c.holds(&env),
+                a.holds(&env) || b.holds(&env),
+                "{c} under {env:?}"
+            );
+            assert!(!(a.holds(&env) && b.holds(&env)), "{c} under {env:?}");
         }
+    }
+
+    /// On fractional atoms too, an integer point satisfies exactly one of an
+    /// atom and its negation.
+    #[test]
+    fn prop_negate_is_exclusive_cover() {
+        let mut rng = SmallRng::seed_from_u64(0xC0504);
+        for _ in 0..1024 {
+            let env = testgen::int_env(&mut rng, &VARS, -30..30);
+            let lin = fractional_lin(&mut rng);
+            let c = match rng.gen_range(0u32..3) {
+                0 => Constraint::ge(lin, Lin::zero()),
+                1 => Constraint::eq(lin, Lin::zero()),
+                _ => Constraint::ne(lin, Lin::zero()),
+            };
+            let negated = c.negate();
+            assert_ne!(
+                c.holds(&env),
+                negated.iter().any(|d| d.holds(&env)),
+                "negation of {c} under {env:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn negating_a_fractional_atom_keeps_integer_solutions() {
+        // ¬(x/2 ≥ 0) ∧ x = −1 holds at x = −1.
+        let half_x = Lin::var("x").scale(Rational::new(1, 2));
+        let f = Formula::and(vec![
+            Formula::from(Constraint::ge(half_x, Lin::zero())).negate(),
+            Constraint::eq(Lin::var("x"), n(-1)).into(),
+        ]);
+        assert!(crate::sat::is_sat(&f));
+        // ¬(x ≥ −1/2) ∧ x = −1 holds at x = −1.
+        let f = Formula::and(vec![
+            Formula::from(Constraint::ge(
+                Lin::var("x"),
+                Lin::constant(Rational::new(-1, 2)),
+            ))
+            .negate(),
+            Constraint::eq(Lin::var("x"), n(-1)).into(),
+        ]);
+        assert!(crate::sat::is_sat(&f));
+    }
+
+    #[test]
+    fn splitting_a_fractional_ne_keeps_integer_solutions() {
+        // x/2 ≠ 1 ∧ x = 3 holds at x = 3, so some DNF cube is satisfiable.
+        let half_x = Lin::var("x").scale(Rational::new(1, 2));
+        let f = Formula::and(vec![
+            Constraint::ne(half_x, n(1)).into(),
+            Constraint::eq(Lin::var("x"), n(3)).into(),
+        ]);
+        assert!(crate::dnf::to_dnf(&f).iter().any(crate::sat::cube_sat));
     }
 }

@@ -8,7 +8,8 @@
 //!    constant tightening, parity conflicts — the numbers of
 //!    [`crate::constraint::Constraint::normalise`]), and asserted: an atom on one
 //!    variable as a bound on it, any other as a bound on the slack row of its
-//!    linear form, one row per distinct form and query;
+//!    linear form, one row per distinct form and query
+//!    ([`BoundedSimplex::assert_form`]);
 //! 2. conjunctions are asserted whole; a disjunction or a `≠` atom (split into its
 //!    two strict cases) is a branch point, tried one alternative at a time;
 //! 3. after each conjunction the kernel checks feasibility over the rationals, and
@@ -123,15 +124,13 @@ struct Frame<'f> {
     alternatives: Vec<Goal<'f>>,
 }
 
-/// The state of one query: the kernel, its structural variable per name and
-/// its slack variable per linear form. Both lists are scanned linearly: a
-/// query names a handful of each (at most nine on the corpus), where hashing
-/// cost more than the scans.
+/// The state of one query: the kernel and its structural variable per name.
+/// The names are scanned linearly: a query names a handful (at most nine on
+/// the corpus), where hashing cost more than the scans.
 #[derive(Default)]
 struct Search<'f> {
     kernel: BoundedSimplex,
     columns: Vec<(&'f str, usize)>,
-    slacks: Vec<(Terms, usize)>,
 }
 
 impl<'f> Search<'f> {
@@ -251,50 +250,7 @@ impl<'f> Search<'f> {
             deferred.push(Goal::Linear(op, terms, constant));
             return true;
         }
-        self.bound(terms, constant, op == RelOp::Eq)
-    }
-
-    /// Asserts `Σ terms + constant ≥ 0` (`= 0` when `eq`) as bounds on one
-    /// kernel variable: the variable itself for one term, else the slack of
-    /// the linear form, signed so its smallest variable has a positive
-    /// coefficient and a form and its negation share one row.
-    fn bound(&mut self, mut terms: Terms, constant: Rational, eq: bool) -> bool {
-        let (var, coeff) = if let [(var, coeff)] = terms[..] {
-            (var, coeff)
-        } else {
-            terms.sort_unstable_by_key(|&(v, _)| v);
-            let flip = terms[0].1.is_negative();
-            if flip {
-                for (_, coeff) in &mut terms {
-                    *coeff = -*coeff;
-                }
-            }
-            let slack = match self.slacks.iter().find(|(form, _)| *form == terms) {
-                Some(&(_, slack)) => slack,
-                None => {
-                    let slack = self.kernel.add_row(&terms);
-                    self.slacks.push((terms, slack));
-                    slack
-                }
-            };
-            (
-                slack,
-                if flip {
-                    -Rational::one()
-                } else {
-                    Rational::one()
-                },
-            )
-        };
-        // coeff · var + constant ≥ 0 (= 0)
-        let at = -constant / coeff;
-        if eq {
-            self.kernel.assert_lower(var, at) && self.kernel.assert_upper(var, at)
-        } else if coeff.is_positive() {
-            self.kernel.assert_lower(var, at)
-        } else {
-            self.kernel.assert_upper(var, at)
-        }
+        self.kernel.assert_form(terms, constant, op == RelOp::Eq)
     }
 }
 

@@ -22,8 +22,16 @@
 //! Feasibility is over the rationals, with exact arithmetic. Every pivot is
 //! charged to [`crate::simplex::pivot_work`], so work budgets and the pivot
 //! deadline meter this kernel as they meter [`crate::simplex::solve`].
+//!
+//! A saturated rational operation (see [`crate::rational::overflow_work`])
+//! corrupts the tableau, and Bland's rule no longer guarantees termination
+//! on corrupted numbers. So once any operation on the thread has saturated
+//! since the kernel was made, [`BoundedSimplex::check`] stops pivoting and
+//! answers "feasible": the over-approximation for satisfiability and the
+//! "not entailed" answer for an entailment. The analyzer has by then marked
+//! the whole result as poisoned.
 
-use crate::rational::Rational;
+use crate::rational::{overflow_work, Rational};
 use crate::simplex::record_pivot;
 
 /// Marks a variable that is not basic in any row.
@@ -60,7 +68,7 @@ pub struct Checkpoint(usize);
 /// kernel.backtrack(before_y);
 /// assert!(kernel.check());
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BoundedSimplex {
     lower: Vec<Option<Rational>>,
     upper: Vec<Option<Rational>>,
@@ -76,6 +84,19 @@ pub struct BoundedSimplex {
     trail: Vec<(usize, Side, Option<Rational>)>,
     /// Reusable buffer that [`BoundedSimplex::pivot`] merges each row into.
     scratch: Vec<(usize, Rational)>,
+    /// The slack of each linear form [`BoundedSimplex::assert_form`] has
+    /// seen, keyed by the form signed so its smallest variable has a
+    /// positive coefficient. Scanned linearly: a query names a handful of
+    /// forms, where hashing cost more than the scans.
+    slacks: Vec<(Vec<(usize, Rational)>, usize)>,
+    /// [`overflow_work`] when the kernel was made.
+    overflows: u64,
+}
+
+impl Default for BoundedSimplex {
+    fn default() -> Self {
+        BoundedSimplex::new()
+    }
 }
 
 /// The coefficient of `var` in a variable-sorted row.
@@ -89,7 +110,18 @@ fn coefficient(row: &[(usize, Rational)], var: usize) -> Rational {
 impl BoundedSimplex {
     /// An empty kernel.
     pub fn new() -> Self {
-        BoundedSimplex::default()
+        BoundedSimplex {
+            lower: Vec::new(),
+            upper: Vec::new(),
+            value: Vec::new(),
+            row_of: Vec::new(),
+            basic: Vec::new(),
+            rows: Vec::new(),
+            trail: Vec::new(),
+            scratch: Vec::new(),
+            slacks: Vec::new(),
+            overflows: overflow_work(),
+        }
     }
 
     /// Adds an unbounded variable with value zero and returns its index.
@@ -130,6 +162,56 @@ impl BoundedSimplex {
         self.basic.push(slack);
         self.rows.push(merged);
         slack
+    }
+
+    /// Asserts `Σ terms + constant ≥ 0` (`= 0` when `eq`) as bounds on one
+    /// variable: the variable itself for one term, else the slack of the
+    /// linear form, added on first use. The form is signed so its smallest
+    /// variable has a positive coefficient, so a form and its negation share
+    /// one row. The terms name distinct variables with non-zero coefficients,
+    /// at least one. Returns `false` when the bounds contradict outright.
+    pub fn assert_form(
+        &mut self,
+        mut terms: Vec<(usize, Rational)>,
+        constant: Rational,
+        eq: bool,
+    ) -> bool {
+        let (var, coeff) = if let [(var, coeff)] = terms[..] {
+            (var, coeff)
+        } else {
+            terms.sort_unstable_by_key(|&(v, _)| v);
+            let flip = terms[0].1.is_negative();
+            if flip {
+                for (_, coeff) in &mut terms {
+                    *coeff = -*coeff;
+                }
+            }
+            let slack = match self.slacks.iter().find(|(form, _)| *form == terms) {
+                Some(&(_, slack)) => slack,
+                None => {
+                    let slack = self.add_row(&terms);
+                    self.slacks.push((terms, slack));
+                    slack
+                }
+            };
+            (
+                slack,
+                if flip {
+                    -Rational::one()
+                } else {
+                    Rational::one()
+                },
+            )
+        };
+        // coeff · var + constant ≥ 0 (= 0)
+        let at = -constant / coeff;
+        if eq {
+            self.assert_lower(var, at) && self.assert_upper(var, at)
+        } else if coeff.is_positive() {
+            self.assert_lower(var, at)
+        } else {
+            self.assert_upper(var, at)
+        }
     }
 
     /// The current value of `var`. After a successful [`BoundedSimplex::check`]
@@ -191,9 +273,13 @@ impl BoundedSimplex {
 
     /// Decides whether the asserted bounds are feasible together with the
     /// rows, pivoting until every basic variable lies within its bounds or a
-    /// row shows that one cannot.
+    /// row shows that one cannot. Answers "feasible" once arithmetic has
+    /// saturated (see the module docs).
     pub fn check(&mut self) -> bool {
         loop {
+            if overflow_work() != self.overflows {
+                return true;
+            }
             // Bland's rule: the smallest basic variable out of its bounds leaves.
             let mut leaving: Option<(usize, Rational)> = None;
             let mut smallest = NON_BASIC;
@@ -454,6 +540,22 @@ mod tests {
             !kernel.check(),
             "2x + y >= 6 follows from the first two rows"
         );
+    }
+
+    #[test]
+    fn check_answers_feasible_once_arithmetic_saturates() {
+        // x + y >= 1 ∧ x <= 0 ∧ y <= 0 is infeasible, until a saturated
+        // operation makes every further check answer "feasible" unpivoted.
+        let mut kernel = BoundedSimplex::new();
+        let (x, y) = (kernel.add_var(), kernel.add_var());
+        let sum = kernel.add_row(&[(x, r(1)), (y, r(1))]);
+        assert!(kernel.assert_lower(sum, r(1)));
+        assert!(kernel.assert_upper(x, r(0)) && kernel.assert_upper(y, r(0)));
+        assert!(!kernel.clone().check());
+        let _ = Rational::from(i128::MAX) * Rational::from(2);
+        let pivots = pivot_work();
+        assert!(kernel.check());
+        assert_eq!(pivot_work(), pivots, "a saturated check must not pivot");
     }
 
     /// The kernel agrees with `LpProblem` on random cubes of one to eight

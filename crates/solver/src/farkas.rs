@@ -1,4 +1,5 @@
-//! Farkas'-lemma encodings of universally quantified linear implications.
+//! Farkas'-lemma encodings of universally quantified linear implications, and
+//! the concrete entailment check.
 //!
 //! The affine form of Farkas' lemma states: if the polyhedron
 //! `P = { x | p₁(x) ≥ 0 ∧ … ∧ pₘ(x) ≥ 0 }` is non-empty, then a linear inequality
@@ -8,9 +9,32 @@
 //! `prove_Term` (paper Sec. 5.4) uses this to turn the universally quantified
 //! ranking-function conditions into an existentially quantified **linear** system over
 //! the template coefficients and the multipliers, which the exact simplex of this
-//! crate can solve. The same encoding with a *concrete* conclusion yields a sound
-//! implication check between conjunctions of linear constraints ([`implies`]).
+//! crate can solve ([`encode_implication`]).
+//!
+//! A *concrete* conclusion needs no multipliers: [`implies`] and [`Entailment`]
+//! decide whether the certificate exists by the homogeneous form of the lemma,
+//! as one feasibility query on the bounded simplex
+//! ([`crate::bounded::BoundedSimplex`]). With premises `pⱼ = aⱼ·x + bⱼ` and
+//! conclusion `c·x + d`, a certificate exists exactly when `(c, d)` lies in the
+//! cone spanned by the `(aⱼ, bⱼ)` and `(0, 1)`. That cone is closed, so it is
+//! the dual of its dual: `(c, d)` lies outside it exactly when some `(x, t)`
+//! satisfies
+//!
+//! * `aⱼ·x + bⱼ·t ≥ 0` for every premise,
+//! * `t ≥ 0`,
+//! * `c·x + d·t < 0`.
+//!
+//! Those points form a cone, so `< 0` may be read as `≤ −1`, which leaves only
+//! non-strict bounds. The query is exact over the rationals (no integer
+//! tightening, so fractional template atoms are decided as the multiplier LP
+//! decides them), and because `t` may be zero it answers "no" on
+//! unsatisfiable premises for a conclusion outside their cone, as the
+//! multiplier LP does. The premises are all homogeneous bounds at zero, so
+//! the origin satisfies them and asserting them never pivots; an
+//! [`Entailment`] asserts them once and answers each conclusion with one
+//! bound, one check and a backtrack.
 
+use crate::bounded::BoundedSimplex;
 use crate::linear::{Ineq, Lin};
 use crate::lp::{Cmp, LpProblem, VarKind};
 use crate::rational::Rational;
@@ -237,18 +261,193 @@ pub fn encode_implication(
 }
 
 /// Checks whether the conjunction of `premises` entails `conclusion.expr() ≥ 0`
-/// via a Farkas certificate.
+/// via a Farkas certificate: whether `conclusion` is a non-negative combination
+/// of the premises plus a non-negative constant.
 ///
-/// This is sound unconditionally; it is complete when the premises are satisfiable
-/// over the rationals. Callers that need the complete answer on possibly-unsatisfiable
-/// premises should test premise satisfiability first (an unsatisfiable premise set
-/// entails everything).
+/// The answer is exact over the rationals (see the module docs). It is sound
+/// unconditionally and complete when the premises are satisfiable over the
+/// rationals; on unsatisfiable premises a conclusion outside their cone is
+/// answered "no", and the absurd conclusion `−1 ≥ 0` "yes". Several
+/// conclusions under the same premises are cheaper through one [`Entailment`].
 pub fn implies(premises: &[Ineq], conclusion: &Ineq) -> bool {
-    let mut lp = LpProblem::new();
-    let mut multipliers = MultiplierSource::new();
-    let concrete = TemplateLin::from_concrete(conclusion.expr());
-    encode_implication(&mut lp, &mut multipliers, premises, &concrete);
-    lp.solve().is_feasible()
+    Entailment::new(premises).implies(conclusion)
+}
+
+/// The premises of a batch of [`implies`] checks, asserted once on a bounded
+/// simplex in homogenized form (see the module docs).
+///
+/// # Examples
+///
+/// ```
+/// use tnt_solver::farkas::Entailment;
+/// use tnt_solver::{Ineq, Lin, Rational};
+///
+/// // x ≥ y ∧ y ≥ 3
+/// let premises = [
+///     Ineq::ge(Lin::var("x"), Lin::var("y")),
+///     Ineq::ge(Lin::var("y"), Lin::constant(Rational::from(3))),
+/// ];
+/// let mut entailment = Entailment::new(&premises);
+/// assert!(entailment.implies(&Ineq::ge(Lin::var("x"), Lin::constant(Rational::from(2)))));
+/// assert!(!entailment.implies(&Ineq::ge(Lin::var("y"), Lin::var("x"))));
+/// assert!(!entailment.implies(&Ineq::ge_zero(Lin::var("z"))));
+/// ```
+#[derive(Debug)]
+pub struct Entailment<'p> {
+    kernel: BoundedSimplex,
+    /// The kernel variable of each program variable the premises mention;
+    /// scanned linearly, as premises name a handful.
+    columns: Vec<(&'p str, usize)>,
+    /// The homogenizing variable `t ≥ 0` that scales every constant.
+    t: usize,
+}
+
+impl<'p> Entailment<'p> {
+    /// Asserts `aⱼ·x + bⱼ·t ≥ 0` for every premise `aⱼ·x + bⱼ ≥ 0`, and `t ≥ 0`.
+    pub fn new(premises: &'p [Ineq]) -> Self {
+        let mut kernel = BoundedSimplex::new();
+        let t = kernel.add_var();
+        kernel.assert_lower(t, Rational::zero());
+        let mut entailment = Entailment {
+            kernel,
+            columns: Vec::new(),
+            t,
+        };
+        for premise in premises {
+            let expr = premise.expr();
+            let mut terms: Vec<(usize, Rational)> = expr
+                .terms()
+                .map(|(name, coeff)| (entailment.column(name), coeff))
+                .collect();
+            if !expr.constant_term().is_zero() {
+                terms.push((t, expr.constant_term()));
+            }
+            if !terms.is_empty() {
+                // A bound at zero, which the origin meets: never a conflict.
+                entailment
+                    .kernel
+                    .assert_form(terms, Rational::zero(), false);
+            }
+        }
+        entailment
+    }
+
+    /// The kernel variable of a premise variable, added on first use.
+    fn column(&mut self, name: &'p str) -> usize {
+        if let Some(&(_, var)) = self.columns.iter().find(|(n, _)| *n == name) {
+            return var;
+        }
+        let var = self.kernel.add_var();
+        self.columns.push((name, var));
+        var
+    }
+
+    /// Whether the premises entail `conclusion.expr() ≥ 0`: whether
+    /// `c·x + d·t ≤ −1` is infeasible under them, asserted and retracted again.
+    /// A conclusion variable no premise mentions answers "no" at once.
+    pub fn implies(&mut self, conclusion: &Ineq) -> bool {
+        let expr = conclusion.expr();
+        // −c·x − d·t − 1 ≥ 0
+        let mut terms: Vec<(usize, Rational)> = Vec::with_capacity(expr.terms().count() + 1);
+        for (name, coeff) in expr.terms() {
+            match self.columns.iter().find(|(n, _)| *n == name) {
+                Some(&(_, var)) => terms.push((var, -coeff)),
+                None => return false,
+            }
+        }
+        if !expr.constant_term().is_zero() {
+            terms.push((self.t, -expr.constant_term()));
+        }
+        if terms.is_empty() {
+            return true;
+        }
+        let mark = self.kernel.checkpoint();
+        let refuted =
+            self.kernel.assert_form(terms, -Rational::one(), false) && self.kernel.check();
+        self.kernel.backtrack(mark);
+        !refuted
+    }
+}
+
+/// Seeded entailment queries shaped like the analyzer's closure checks: each
+/// is a premise set and the conclusions asked under it.
+///
+/// A premise set has one to twelve inequalities (equalities count as their
+/// two halves) over one to six variables `v0`…`v5`, with fractional
+/// coefficients and constants; about half the sets are unsatisfiable, one in
+/// six by a deliberately contradicting pair `e ≥ 1`, `−e ≥ 0`. Its one to
+/// six conclusions mix non-negative combinations of the premises plus a
+/// constant (entailed when the constant is non-negative), random forms,
+/// forms naming the variable `u` that no premise mentions, the absurd
+/// `−1 ≥ 0` and the zero `0 ≥ 0`.
+///
+/// It is the workload of the differential gate against the multiplier LP and
+/// of the `kernel/farkas_implies` micro bench.
+pub fn seeded_entailments(seed: u64, count: usize) -> Vec<(Vec<Ineq>, Vec<Ineq>)> {
+    // SplitMix64: a fixed stream per seed, independent of any RNG crate.
+    let mut state = seed;
+    let mut next = |bound: u64| -> i128 {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound) as i128
+    };
+    let vars: Vec<String> = (0..6).map(|i| format!("v{i}")).collect();
+    (0..count)
+        .map(|_| {
+            let num_vars = 1 + next(6) as usize;
+            let form = |next: &mut dyn FnMut(u64) -> i128| {
+                let mut lin = Lin::constant(Rational::new(next(9) - 2, next(2) + 1));
+                for v in &vars[..num_vars] {
+                    if next(2) == 0 {
+                        let num = [-3, -2, -1, 1, 2, 3][next(6) as usize];
+                        lin.add_term(v, Rational::new(num, next(3) + 1));
+                    }
+                }
+                lin
+            };
+            let size = 1 + next(12) as usize;
+            let mut premises: Vec<Ineq> = Vec::with_capacity(size + 2);
+            while premises.len() < size {
+                if size - premises.len() >= 2 && next(4) == 0 {
+                    premises.extend(Ineq::eq_zero(form(&mut next)));
+                } else {
+                    premises.push(Ineq::ge_zero(form(&mut next)));
+                }
+            }
+            if next(6) == 0 {
+                let e = form(&mut next);
+                let at = next(premises.len() as u64 + 1) as usize;
+                premises.insert(at, Ineq::ge_zero(e.add_const(-Rational::one())));
+                premises.push(Ineq::ge_zero(e.scale(-Rational::one())));
+            }
+            let conclusions = (0..1 + next(6))
+                .map(|_| match next(8) {
+                    0 => Ineq::ge_zero(Lin::constant(-Rational::one())),
+                    1 => Ineq::ge_zero(Lin::zero()),
+                    2 => {
+                        let mut lin = form(&mut next);
+                        lin.add_term("u", Rational::new(next(5) + 1, 2));
+                        Ineq::ge_zero(lin)
+                    }
+                    3..=5 => {
+                        let delta = [-1, 0, 1, 2][next(4) as usize];
+                        let mut lin = Lin::constant(Rational::new(delta, 2));
+                        for premise in &premises {
+                            let lambda = Rational::new(next(5), 2);
+                            if !lambda.is_zero() && next(3) == 0 {
+                                lin = lin.add(&premise.expr().scale(lambda));
+                            }
+                        }
+                        Ineq::ge_zero(lin)
+                    }
+                    _ => Ineq::ge_zero(form(&mut next)),
+                })
+                .collect();
+            (premises, conclusions)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -293,6 +492,114 @@ mod tests {
         let premises = vec![Ineq::ge(Lin::var("x").scale(r(2)), Lin::constant(r(4)))];
         let conclusion = Ineq::ge(Lin::var("x"), Lin::constant(r(2)));
         assert!(implies(&premises, &conclusion));
+    }
+
+    #[test]
+    fn implies_is_exact_on_fractional_atoms() {
+        // x ≥ 1/2 entails x ≥ 1/2 and x ≥ 0 but, over the rationals, not x ≥ 1.
+        let half = Lin::constant(Rational::new(1, 2));
+        let premises = vec![Ineq::ge(Lin::var("x"), half.clone())];
+        assert!(implies(&premises, &Ineq::ge(Lin::var("x"), half)));
+        assert!(implies(&premises, &Ineq::ge_zero(Lin::var("x"))));
+        assert!(!implies(
+            &premises,
+            &Ineq::ge(Lin::var("x"), Lin::constant(r(1)))
+        ));
+    }
+
+    #[test]
+    fn implies_on_unsatisfiable_premises_needs_the_cone() {
+        // x ≥ 1 ∧ −x ≥ 0 ∧ y ≥ 0 has no point. Its cone holds every form over
+        // x alone and y ≥ 0, but not −y ≥ 0 nor anything over z.
+        let premises = vec![
+            Ineq::ge(Lin::var("x"), Lin::constant(r(1))),
+            Ineq::ge_zero(Lin::var("x").scale(r(-1))),
+            Ineq::ge_zero(Lin::var("y")),
+        ];
+        let mut entailment = Entailment::new(&premises);
+        assert!(entailment.implies(&Ineq::ge_zero(Lin::constant(r(-1)))));
+        assert!(entailment.implies(&Ineq::ge_zero(Lin::constant(r(-7)))));
+        assert!(entailment.implies(&Ineq::le(Lin::var("x"), Lin::constant(r(-5)))));
+        assert!(entailment.implies(&Ineq::ge_zero(Lin::var("y"))));
+        assert!(!entailment.implies(&Ineq::ge_zero(Lin::var("y").scale(r(-1)))));
+        assert!(!entailment.implies(&Ineq::ge_zero(Lin::var("z"))));
+    }
+
+    #[test]
+    fn implies_without_premises() {
+        assert!(implies(&[], &Ineq::ge_zero(Lin::zero())));
+        assert!(implies(&[], &Ineq::ge_zero(Lin::constant(r(2)))));
+        assert!(!implies(&[], &Ineq::ge_zero(Lin::constant(r(-1)))));
+        assert!(!implies(&[], &Ineq::ge_zero(Lin::var("x"))));
+    }
+
+    /// The multiplier LP the concrete check replaced, kept as its oracle.
+    fn lp_implies(premises: &[Ineq], conclusion: &Ineq) -> bool {
+        let mut lp = LpProblem::new();
+        let mut multipliers = MultiplierSource::new();
+        let concrete = TemplateLin::from_concrete(conclusion.expr());
+        encode_implication(&mut lp, &mut multipliers, premises, &concrete);
+        lp.solve().is_feasible()
+    }
+
+    /// The homogenized kernel query answers as the multiplier LP on seeded
+    /// premise sets of one to twelve fractional inequalities (equality
+    /// halves included) over one to six variables, satisfiable or not, and
+    /// on conclusions that are premise combinations, random forms, forms
+    /// naming an unmentioned variable, `−1 ≥ 0` and `0 ≥ 0`.
+    #[test]
+    fn prop_kernel_implies_agrees_with_farkas_lp() {
+        let cases = seeded_entailments(0xFA4CA5, 600);
+        let mut answers = [0usize; 2];
+        let mut unsatisfiable = 0;
+        let absurd = Ineq::ge_zero(Lin::constant(r(-1)));
+        for (premises, conclusions) in &cases {
+            if lp_implies(premises, &absurd) {
+                unsatisfiable += 1;
+            }
+            for conclusion in conclusions {
+                let kernel = implies(premises, conclusion);
+                assert_eq!(
+                    kernel,
+                    lp_implies(premises, conclusion),
+                    "kernel and multiplier LP disagree on {premises:?} ⇒ {conclusion:?}"
+                );
+                answers[usize::from(kernel)] += 1;
+            }
+        }
+        assert!(
+            answers.iter().all(|&n| n > 500),
+            "both answers must be exercised: {answers:?}"
+        );
+        assert!(
+            (150..cases.len() - 150).contains(&unsatisfiable),
+            "premise sets must be satisfiable and unsatisfiable: {unsatisfiable} of {} unsatisfiable",
+            cases.len()
+        );
+    }
+
+    /// One [`Entailment`] answering every conclusion of its premise set, each
+    /// asked twice in a seeded order, matches a fresh call per conclusion.
+    #[test]
+    fn prop_batched_entailment_agrees_with_fresh_calls() {
+        let mut state = 0x5EED_u64;
+        for (premises, conclusions) in seeded_entailments(0xBA7C4, 300) {
+            let mut entailment = Entailment::new(&premises);
+            let mut order: Vec<&Ineq> = conclusions.iter().chain(&conclusions).collect();
+            for i in (1..order.len()).rev() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            for conclusion in order {
+                assert_eq!(
+                    entailment.implies(conclusion),
+                    implies(&premises, conclusion),
+                    "batched and fresh answers differ on {premises:?} ⇒ {conclusion:?}"
+                );
+            }
+        }
     }
 
     #[test]

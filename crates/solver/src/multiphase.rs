@@ -206,17 +206,18 @@ pub fn multiphase_valid_on(
         .iter()
         .map(|lin| system.rename_to_dst(lin, transition))
         .collect();
+    let mut entailment = farkas::Entailment::new(&transition.guard);
     for k in 0..src.len() {
         let mut decrease = src[k].sub(&renamed[k]).add_const(-Rational::one());
         if k > 0 {
             decrease = decrease.add(&src[k - 1]);
         }
-        if !farkas::implies(&transition.guard, &Ineq::ge_zero(decrease)) {
+        if !entailment.implies(&Ineq::ge_zero(decrease)) {
             return false;
         }
     }
     let bounded = Ineq::ge_zero(src[src.len() - 1].clone());
-    farkas::implies(&transition.guard, &bounded)
+    entailment.implies(&bounded)
 }
 
 /// Enumerates candidate `max(f, g)` components: one per unordered pair of variable
@@ -269,17 +270,18 @@ pub(crate) fn max_decreasing_on(
     for (dominant, other) in [(f, g), (g, f)] {
         let mut premises = transition.guard.clone();
         premises.push(Ineq::ge(dominant.clone(), other.clone()));
+        let mut entailment = farkas::Entailment::new(&premises);
         // An infeasible branch is vacuously fine (Farkas certificate of unsat).
         let absurd = Ineq::ge_zero(Lin::constant(-Rational::one()));
-        if farkas::implies(&premises, &absurd) {
+        if entailment.implies(&absurd) {
             continue;
         }
         let bounded = Ineq::ge_zero(dominant.clone());
         let drop_f = Ineq::ge_zero(dominant.sub(&next_f).add_const(-delta));
         let drop_g = Ineq::ge_zero(dominant.sub(&next_g).add_const(-delta));
-        if !(farkas::implies(&premises, &bounded)
-            && farkas::implies(&premises, &drop_f)
-            && farkas::implies(&premises, &drop_g))
+        if !(entailment.implies(&bounded)
+            && entailment.implies(&drop_f)
+            && entailment.implies(&drop_g))
         {
             return false;
         }

@@ -153,8 +153,8 @@ pub(crate) fn strictly_decreasing_on(
     let dst = system.rename_to_dst(&measure[&transition.dst], transition);
     let bounded = Ineq::ge_zero(src.clone());
     let decrease = Ineq::ge_zero(src.sub(&dst).add_const(-Rational::one()));
-    crate::farkas::implies(&transition.guard, &bounded)
-        && crate::farkas::implies(&transition.guard, &decrease)
+    let mut entailment = crate::farkas::Entailment::new(&transition.guard);
+    entailment.implies(&bounded) && entailment.implies(&decrease)
 }
 
 #[cfg(test)]

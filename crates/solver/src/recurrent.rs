@@ -10,7 +10,7 @@
 //! state, such that `S` is *closed* under every transition of the loop: for
 //! each guarded step `ρ(v, v′)`, `S(v) ∧ ρ(v, v′) ⇒ S(v′)`. Closure is
 //! certified per transition through the same Farkas'-lemma implication check
-//! the multiphase measures use ([`crate::farkas::implies`]), so a returned set
+//! the multiphase measures use ([`crate::farkas::Entailment`]), so a returned set
 //! is sound by construction; callers additionally re-validate it on sampled
 //! concrete valuations as a built-in self-check ([`closed_on_samples`]).
 //!
@@ -19,7 +19,7 @@
 //! self-calls. A system with any other number of nodes (mutual recursion)
 //! yields no set.
 //!
-//! Candidate atoms are pruned DynamiTe-style before any LP is solved: concrete
+//! Candidate atoms are pruned DynamiTe-style before any Farkas check: concrete
 //! sample states cheaply refute non-inductive candidates by simulating one
 //! transition step, and the survivors are then shrunk to their greatest
 //! inductive subset by a Houdini loop over the Farkas checks.
@@ -261,14 +261,15 @@ fn greatest_inductive_subset(
 /// The index of the first atom that some transition does not preserve: under
 /// the premises `atoms ∧ guard`, the atom renamed to the destination state
 /// has no Farkas certificate. Transitions are tried in order, and the atoms
-/// in order under each.
+/// in order under each, all against one [`farkas::Entailment`] per transition.
 fn first_escaping(system: &TransitionSystem, atoms: &[Ineq]) -> Option<usize> {
     system.transitions().iter().find_map(|transition| {
         let mut premises = atoms.to_vec();
         premises.extend(transition.guard.iter().cloned());
+        let mut entailment = farkas::Entailment::new(&premises);
         atoms.iter().position(|atom| {
             let target = Ineq::ge_zero(system.rename_to_dst(atom.expr(), transition));
-            !farkas::implies(&premises, &target)
+            !entailment.implies(&target)
         })
     })
 }

@@ -61,7 +61,7 @@ fn kernel_rational(c: &mut Criterion) {
 }
 
 /// One And of eight three-way Ors over distinct variables: 3^8 = 6561 cubes of
-/// eight shared atoms each.
+/// eight shared atoms each, walked in 9,841 search nodes.
 fn kernel_dnf_product(c: &mut Criterion) {
     let formula = Formula::and(
         (0..8)
@@ -74,6 +74,11 @@ fn kernel_dnf_product(c: &mut Criterion) {
                 ])
             })
             .collect(),
+    );
+    let cubes = dnf::to_dnf(&formula).len();
+    assert_eq!(
+        cubes, 6561,
+        "the product must expand in full, not stop at the cube cap"
     );
     c.bench_function("kernel/dnf_product", |b| {
         b.iter(|| dnf::to_dnf(black_box(&formula)).len())

@@ -696,7 +696,8 @@ pub fn prove_nonterm_recurrent(
 ///
 /// Candidates with the fewest program variables are preferred (single-variable sign
 /// conditions first, as the paper's template optimisation does); the weakest
-/// precondition obtained by projection is the fall-back.
+/// precondition obtained by projection is the fall-back, and `None` is returned
+/// when pruning that precondition stops at the cube cap.
 pub fn abduce(context: &Formula, beta: &Formula, vars: &[String]) -> Option<Formula> {
     // Constants worth trying: 0 plus the constants appearing in beta.
     let mut constants: Vec<i128> = vec![0];
@@ -731,10 +732,15 @@ pub fn abduce(context: &Formula, beta: &Formula, vars: &[String]) -> Option<Form
             }
         }
     }
-    // Fall-back: the weakest precondition over `vars`, via projection.
+    // Fall-back: the weakest precondition over `vars`, via projection; given
+    // up when pruning it stops at the cube cap, as its unpruned form costs more.
     let keep: std::collections::BTreeSet<String> = vars.iter().cloned().collect();
     let wp = qe::project(&context.clone().and2(beta.clone().negate()), &keep).negate();
+    let capped_before = dnf::cap_events();
     let wp = simplify::prune(&wp);
+    if dnf::cap_events() != capped_before {
+        return None;
+    }
     let strengthened = context.clone().and2(wp.clone());
     if sat::is_sat(&strengthened) && entail::entails(&strengthened, beta) {
         Some(wp)
@@ -841,6 +847,29 @@ mod tests {
         let expected: Formula =
             Constraint::ge(var("x").add(&var("y")).add(&var("z")), num(0)).into();
         assert!(entail::equivalent(&alpha, &expected));
+    }
+
+    /// When pruning the weakest precondition stops at the cube cap, `abduce`
+    /// gives up at once. Here the precondition is `⋀_{i<15} yᵢ ≠ 0 ∨ z + w ≥ 0`,
+    /// whose first disjunct alone has 2^15 satisfiable cubes; checking the
+    /// unpruned precondition instead would stop at the cap a second time.
+    #[test]
+    fn abduce_gives_up_when_the_precondition_prunes_past_the_cap() {
+        let mut vars: Vec<String> = (0..15).map(|i| format!("y{i}")).collect();
+        let context = Formula::or(
+            vars.iter()
+                .map(|v| Constraint::eq(var(v), num(0)).into())
+                .collect(),
+        );
+        vars.extend(["z".to_string(), "w".to_string()]);
+        let beta: Formula = Constraint::ge(var("z").add(&var("w")), num(0)).into();
+        let capped = dnf::cap_events();
+        assert_eq!(abduce(&context, &beta, &vars), None);
+        assert_eq!(
+            dnf::cap_events(),
+            capped + 1,
+            "only the fall-back prune stops"
+        );
     }
 
     #[test]

@@ -388,6 +388,27 @@ mod tests {
         assert_eq!(created.len(), 1);
     }
 
+    /// A split condition whose pruning stops at the cube cap keeps its guard:
+    /// `⋀_{i<15} yᵢ ≠ 0` has 2^15 satisfiable cubes, and the case must not
+    /// widen to `True`.
+    #[test]
+    fn split_past_the_cube_cap_keeps_a_guard_that_is_not_valid() {
+        let vars: Vec<String> = (0..15).map(|i| format!("y{i}")).collect();
+        let condition = Formula::and(
+            vars.iter()
+                .map(|v| Constraint::ne(var(v), num(0)).into())
+                .collect(),
+        );
+        let mut theta = Theta::new();
+        theta.register("Upr_f#0", "Upo_f#0", vars);
+        let created = theta.split_case("Upr_f#0", vec![(condition, None)]);
+        let guard = theta.guard_of_pre(&created[0]).unwrap();
+        assert!(
+            !tnt_logic::entail::is_valid(guard),
+            "guard widened to {guard}"
+        );
+    }
+
     #[test]
     fn finalize_marks_remaining_as_mayloop() {
         let mut theta = Theta::new();

@@ -1,10 +1,10 @@
 //! Negation normal form and disjunctive normal form.
 //!
-//! The simplifier ([`crate::simplify::prune`]) and the projection ([`crate::qe`])
-//! work on the disjunctive normal form of a formula: a set of *cubes*, each cube
-//! being a conjunction of canonical constraints with the `≠` atoms already split
-//! into their two strict cases. Satisfiability ([`crate::sat`]) does not expand
-//! eagerly: it searches the negation normal form branch by branch.
+//! The projection ([`crate::qe`]) and the per-cube ranking transitions work on the
+//! disjunctive normal form of a formula: a list of *cubes*, each a conjunction of
+//! canonical constraints with the `≠` atoms split into their two strict cases.
+//! [`to_dnf`] is one walk of the search in [`crate::sat`]; this module keeps the
+//! negation normal form every walk starts from and the counters they charge.
 //!
 //! Existential quantifiers in *positive* position are handled exactly by renaming the
 //! bound variables to globally fresh names (satisfiability is preserved). A quantifier
@@ -15,9 +15,10 @@
 //! paper's relational assumptions are quantifier-free — so this corner only matters for
 //! adversarial hand-written formulas (see `DESIGN.md` §4).
 
-use crate::constraint::{Constraint, RelOp};
+use crate::constraint::Constraint;
 use crate::formula::Formula;
 use crate::qe;
+use crate::sat::{self, Walk};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A cube: the conjunction of the contained constraints.
@@ -89,58 +90,38 @@ fn nnf(formula: &Formula, negated: bool) -> Formula {
     }
 }
 
-/// Converts a formula into disjunctive normal form.
+/// Converts a formula into disjunctive normal form: the [`sat`] search's walk
+/// through every cube, satisfiable or not, in the order of the product expansion.
 ///
-/// The result is a list of cubes; the formula is equivalent (for satisfiability) to the
-/// disjunction of the cubes' conjunctions. `≠` atoms are split, quantified variables in
-/// positive position are renamed to fresh names.
+/// The formula is equivalent (for satisfiability) to the disjunction of the cubes'
+/// conjunctions; quantified variables in positive position are renamed to fresh
+/// names. A walk stopped at the cube cap returns the TRUE cube, an
+/// over-approximation (visible as a [`cap_events`] increment) that keeps
+/// unsatisfiability checks and weakening callers (transition guards,
+/// abduction hints) sound.
 pub fn to_dnf(formula: &Formula) -> Vec<Cube> {
-    // The cap-event snapshot must be taken *before* NNF conversion: a negated
-    // quantifier eliminates through `qe` and re-enters `to_dnf` from inside
-    // `to_nnf`, and a cap overflow there already under-approximates the NNF.
-    let capped_before = cap_events();
-    let nnf = to_nnf(formula);
-    // Per-conversion cube cap. Conversions nest (a negated quantifier projects and
-    // re-converts), so the remaining allowance is saved and restored around each
-    // top-level entry.
-    let saved = PER_CALL_REMAINING.with(|r| r.replace(CUBE_CAP));
-    let cubes = dnf_of_nnf(&nnf);
-    PER_CALL_REMAINING.with(|r| r.set(saved));
-    record_cubes(cubes.len() as u64);
-    if cap_events() > capped_before {
-        // The conversion overflowed the cap somewhere inside: the partial cube set
-        // is meaningless, so return the TRUE cube — an over-approximation of the
-        // input formula. Callers checking unsatisfiability (the soundness-critical
-        // direction everywhere in this workspace) become conservative; callers in
-        // weakening positions (transition guards, abduction hints) stay sound.
-        return vec![vec![]];
-    }
-    cubes
+    sat::cubes(formula, Walk::All).unwrap_or_else(|| vec![vec![]])
 }
 
 thread_local! {
     static CUBE_WORK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static PER_CALL_REMAINING: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
     static CAP_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The per-conversion cube cap, which is also the node cap of one
-/// satisfiability search ([`crate::sat`]).
+/// The node cap of every walk of the [`sat`] search; a walk past it stops and
+/// records a cap event.
 ///
-/// A single [`to_dnf`] call that would produce more than this many cubes is
-/// abandoned and over-approximated by the TRUE cube (see [`to_dnf`]); a search
-/// that would visit more nodes answers "satisfiable", the same
-/// over-approximation. Either event is visible through [`cap_events`]. 50k is
-/// far above anything a within-budget analysis produces.
-pub(crate) const CUBE_CAP: u64 = 50_000;
+/// The largest walk that finishes on the corpus visits about 1.1 k nodes, and
+/// `kernel/dnf_product`'s 6,561 cubes take 9,841. The cap stays below the ~44 k
+/// nodes `abduce`'s weakest-precondition prune needs on `drift_coupled`: run to
+/// the end, it would hand ~15 k cubes to the quadratic subsumption pass.
+pub(crate) const CUBE_CAP: u64 = 20_000;
 
-/// Monotone per-thread count of conversions and searches abandoned at the
-/// cube cap.
+/// Monotone per-thread count of walks stopped at the cube cap.
 ///
-/// Callers that cannot tolerate the TRUE-cube over-approximation (e.g. the
-/// base-case inference, which uses projections in a strengthening position)
-/// snapshot this counter around a conversion and discard their result if it
-/// moved.
+/// Callers that cannot tolerate a capped answer (the base-case inference, which
+/// uses projections in a strengthening position, and abduction) snapshot this
+/// counter around a conversion and discard their result if it moved.
 pub fn cap_events() -> u64 {
     CAP_EVENTS.with(|c| c.get())
 }
@@ -149,100 +130,19 @@ pub(crate) fn record_cap_event() {
     CAP_EVENTS.with(|c| c.set(c.get().wrapping_add(1)));
 }
 
-/// Monotone per-thread count of DNF cubes produced since thread start,
-/// including the intermediate cubes of And-distribution products, plus the
-/// nodes visited by the satisfiability search of [`crate::sat`].
+/// Monotone per-thread count of the nodes the [`sat`] search visited since
+/// thread start: the root of each walk and each alternative it tried.
 ///
-/// Both are the logic layer's exponential cores — a cube or a search node is
-/// one partial conjunction — so the count is a deterministic proxy for
-/// formula-manipulation work, the analogue of
-/// `tnt_solver::simplex::pivot_work` for the logic layer. Budgeted callers
-/// snapshot it before a unit of work and compare deltas afterwards.
+/// A node is one partial conjunction, the logic layer's exponential core, so the
+/// count is a deterministic proxy for formula-manipulation work, the analogue of
+/// `tnt_solver::simplex::pivot_work`. Budgeted callers snapshot it before a unit
+/// of work and compare deltas afterwards.
 pub fn cube_work() -> u64 {
     CUBE_WORK.with(|w| w.get())
 }
 
 pub(crate) fn record_cubes(count: u64) {
     CUBE_WORK.with(|w| w.set(w.get().wrapping_add(count)));
-}
-
-/// Deducts `amount` from the current conversion's cube allowance and charges it
-/// to the work counter (intermediate And-products are where the exponential
-/// cost lives, so the budget must see them even when the final cube set is
-/// small). On overflow the cap event is recorded and `false` is returned,
-/// telling the conversion to abandon the product.
-fn consume_allowance(amount: u64) -> bool {
-    record_cubes(amount);
-    PER_CALL_REMAINING.with(|r| {
-        let remaining = r.get();
-        if let Some(left) = remaining.checked_sub(amount) {
-            r.set(left);
-            true
-        } else {
-            r.set(0);
-            record_cap_event();
-            false
-        }
-    })
-}
-
-fn dnf_of_nnf(formula: &Formula) -> Vec<Cube> {
-    match formula {
-        Formula::True => vec![vec![]],
-        Formula::False => vec![],
-        Formula::Atom(c) => match c.op() {
-            RelOp::Ne => {
-                let [a, b] = c.split_ne().expect("op is Ne");
-                vec![vec![a], vec![b]]
-            }
-            _ => vec![vec![c.clone()]],
-        },
-        Formula::Or(parts) => parts.iter().flat_map(dnf_of_nnf).collect(),
-        Formula::And(parts) => {
-            let mut cubes: Vec<Cube> = vec![vec![]];
-            for part in parts {
-                let part_cubes = dnf_of_nnf(part);
-                let product = cubes.len().saturating_mul(part_cubes.len());
-                if !consume_allowance(product as u64) {
-                    // Cap overflow: the result will be discarded by `to_dnf`, so
-                    // any value works — keep it small and truthy.
-                    return vec![vec![]];
-                }
-                let mut next = Vec::with_capacity(product.max(1));
-                for cube in &cubes {
-                    for pc in &part_cubes {
-                        let mut merged = cube.clone();
-                        merged.extend(pc.iter().cloned());
-                        next.push(merged);
-                    }
-                }
-                cubes = next;
-                if cubes.is_empty() {
-                    return cubes;
-                }
-            }
-            cubes
-        }
-        Formula::Not(inner) => {
-            // to_nnf leaves Not only around atoms in pathological cases; fold it here.
-            match inner.as_ref() {
-                Formula::Atom(c) => c
-                    .negate()
-                    .into_iter()
-                    .flat_map(|d| dnf_of_nnf(&Formula::Atom(d)))
-                    .collect(),
-                other => dnf_of_nnf(&to_nnf(&Formula::Not(Box::new(other.clone())))),
-            }
-        }
-        Formula::Exists(vars, body) => {
-            // Positive position: rename the bound variables to fresh names.
-            let mut renamed = body.as_ref().clone();
-            for v in vars {
-                renamed = renamed.rename(v, &fresh_var(v));
-            }
-            dnf_of_nnf(&to_nnf(&renamed))
-        }
-    }
 }
 
 /// Rebuilds a formula from a DNF cube list (used by the simplifier and the projection).

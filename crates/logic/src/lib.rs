@@ -9,12 +9,13 @@
 //!
 //! * [`Constraint`] / [`Formula`] — linear integer atoms and boolean structure
 //!   (conjunction, disjunction, negation, existential quantification).
-//! * [`dnf`] — negation normal form (the start of every satisfiability query) and
-//!   disjunctive normal form (used by the simplifier and the projection).
-//! * [`sat`] — satisfiability, as a depth-first search over the negation normal form
-//!   that asserts gcd-normalised atoms on one bounded general simplex per query
+//! * [`dnf`] — negation normal form (the start of every search) and disjunctive
+//!   normal form (used by the projection and the per-cube ranking transitions).
+//! * [`sat`] — one depth-first search over the negation normal form that asserts
+//!   gcd-normalised atoms on one bounded general simplex per walk
 //!   ([`tnt_solver::bounded`]), branches on disjunctions and `≠`, and prunes a branch
-//!   once its partial cube is infeasible over the rationals.
+//!   once its partial cube is infeasible over the rationals. It decides
+//!   satisfiability and walks the cubes for the simplifier and [`dnf::to_dnf`].
 //! * [`entail`] — entailment and validity, reduced to unsatisfiability.
 //! * [`qe`] — existential-quantifier elimination / projection by equality substitution
 //!   and Fourier–Motzkin combination (an over-approximation on the integers, which is

@@ -1,32 +1,30 @@
-//! Satisfiability of linear integer formulas.
+//! Satisfiability of linear integer formulas: one depth-first search over the
+//! negation normal form, on one bounded general simplex per walk
+//! ([`tnt_solver::bounded::BoundedSimplex`]), that walks in one of three ways:
 //!
-//! [`is_sat`] is a depth-first search over the negation normal form of the
-//! formula, on one bounded general simplex per query
-//! ([`tnt_solver::bounded::BoundedSimplex`]):
+//! * to the first satisfiable cube ([`is_sat`], [`cube_sat`]), asserting every
+//!   conjunct that needs no branch before the first disjunction or `≠` is tried;
+//! * through every satisfiable cube ([`crate::simplify::prune`]);
+//! * through every cube, without the kernel ([`crate::dnf::to_dnf`]).
 //!
-//! 1. every atom is put into integer normal form as it is reached (gcd division,
-//!    constant tightening, parity conflicts — the numbers of
-//!    [`crate::constraint::Constraint::normalise`]), and asserted: an atom on one
-//!    variable as a bound on it, any other as a bound on the slack row of its
-//!    linear form, one row per distinct form and query
-//!    ([`BoundedSimplex::assert_form`]);
-//! 2. conjunctions are asserted whole; a disjunction or a `≠` atom (split into its
-//!    two strict cases) is a branch point, tried one alternative at a time;
-//! 3. after each conjunction the kernel checks feasibility over the rationals, and
-//!    an infeasible partial cube is pruned with everything below it. Backtracking
-//!    retracts bounds and never pivots.
+//! The collecting walks branch at the first disjunction or `≠` in formula order
+//! and keep the path of atoms from the root, truncated on backtrack, so their
+//! cubes come in the order, and with the atoms, of the eager product expansion.
 //!
-//! The negation normal form is [`crate::dnf::to_nnf`]'s, the one the DNF
-//! conversion starts from. Existential quantifiers in positive position are then
-//! handled exactly by renaming the bound variables to fresh names, as
-//! [`crate::dnf::to_dnf`] does; a quantifier in negative position is eliminated by
-//! [`crate::qe`] inside `to_nnf` (see [`crate::dnf`]).
+//! Each atom is put into integer normal form as it is reached (the numbers of
+//! [`Constraint::normalise`]) and asserted: on one variable as a bound on it, any
+//! other as a bound on the slack row of its linear form
+//! ([`BoundedSimplex::assert_form`]). At each branch point and each whole cube
+//! the kernel checks feasibility over the rationals, and an infeasible partial
+//! cube is pruned with everything below it. Backtracking retracts bounds and
+//! never pivots. Positive quantifiers are renamed to fresh variables; negative
+//! ones are eliminated inside [`crate::dnf::to_nnf`].
 //!
 //! Every visited node — the root and each alternative tried — is charged one unit
 //! of [`crate::dnf::cube_work`], and every pivot one unit of
-//! `tnt_solver::simplex::pivot_work`. A search that would visit more than the
-//! cube cap's nodes stops and answers "satisfiable", recording a cap event: the
-//! same over-approximation a capped DNF conversion makes.
+//! `tnt_solver::simplex::pivot_work`. A walk that would visit more than the cube
+//! cap's nodes stops and records a cap event: the first-cube walk then answers
+//! "satisfiable", and a collecting walk returns nothing.
 //!
 //! The feasibility check is a relaxation: a cube that is rationally feasible but
 //! integrally infeasible would be reported satisfiable. On the unit-coefficient
@@ -43,22 +41,20 @@ use tnt_solver::Rational;
 /// Checks satisfiability of a single cube (conjunction of constraints); `≠` atoms
 /// are split by the same search [`is_sat`] runs.
 pub fn cube_sat(cube: &Cube) -> bool {
-    Search::default().run(cube.iter().map(Goal::Atom).collect())
+    let goals = cube.iter().map(Goal::Atom).collect();
+    Search::default().run(goals).unwrap_or(true)
 }
 
 /// Checks satisfiability of a formula (existential quantifiers in positive position are
 /// handled exactly; see [`crate::dnf`] for the treatment of negative occurrences).
 pub fn is_sat(formula: &Formula) -> bool {
-    // A negated quantifier is projected through `qe`, which may convert to DNF;
-    // a capped conversion there already over-approximates, so answer as
-    // `to_dnf` would: satisfiable.
-    let capped_before = dnf::cap_events();
-    let nnf = dnf::to_nnf(formula);
-    if dnf::cap_events() > capped_before {
+    // A capped conversion inside the negation normal form already
+    // over-approximates, so answer as a capped search does: satisfiable.
+    let Some(open) = open(formula, false) else {
         return true;
-    }
-    let open = rename_exists(nnf);
-    Search::default().run(vec![Goal::Formula(&open)])
+    };
+    let goals = vec![Goal::Formula(&open)];
+    Search::default().run(goals).unwrap_or(true)
 }
 
 /// Checks unsatisfiability.
@@ -66,21 +62,59 @@ pub fn is_unsat(formula: &Formula) -> bool {
     !is_sat(formula)
 }
 
-/// Replaces every (positive) quantifier of a negation normal form by its body
-/// with the bound variables renamed to fresh names, as `to_dnf` does.
-fn rename_exists(nnf: Formula) -> Formula {
+/// The cubes a collecting walk reaches in `formula`, in formula order; `None`
+/// when it, or a conversion inside the negation normal form, stopped at the
+/// cube cap.
+pub(crate) fn cubes(formula: &Formula, walk: Walk) -> Option<Vec<Cube>> {
+    let open = open(formula, true)?;
+    let mut search = Search {
+        walk,
+        ..Search::default()
+    };
+    search.run(vec![Goal::Formula(&open)])?;
+    Some(search.cubes)
+}
+
+/// The negation normal form of `formula` with every (positive) quantifier
+/// replaced by its body over fresh names and, with `split_ne`, every `≠` atom by
+/// the disjunction of its two strict cases. `None` when a conversion inside
+/// [`dnf::to_nnf`] stopped at the cube cap.
+fn open(formula: &Formula, split_ne: bool) -> Option<Formula> {
+    let capped_before = dnf::cap_events();
+    let nnf = dnf::to_nnf(formula);
+    (dnf::cap_events() == capped_before).then(|| open_nnf(nnf, split_ne))
+}
+
+fn open_nnf(nnf: Formula, split_ne: bool) -> Formula {
+    let open_all = |parts: Vec<Formula>| parts.into_iter().map(|p| open_nnf(p, split_ne)).collect();
     match nnf {
-        Formula::And(parts) => Formula::and(parts.into_iter().map(rename_exists).collect()),
-        Formula::Or(parts) => Formula::or(parts.into_iter().map(rename_exists).collect()),
+        Formula::And(parts) => Formula::and(open_all(parts)),
+        Formula::Or(parts) => Formula::or(open_all(parts)),
         Formula::Exists(vars, body) => {
             let mut renamed = *body;
             for v in &vars {
                 renamed = renamed.rename(v, &dnf::fresh_var(v));
             }
-            rename_exists(dnf::to_nnf(&renamed))
+            open_nnf(dnf::to_nnf(&renamed), split_ne)
+        }
+        Formula::Atom(c) if split_ne && c.op() == RelOp::Ne => {
+            let cases = c.split_ne().expect("op is Ne");
+            Formula::or(cases.into_iter().map(Formula::Atom).collect())
         }
         other => other,
     }
+}
+
+/// How a search walks.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Walk {
+    /// To the first satisfiable cube.
+    #[default]
+    First,
+    /// Through every satisfiable cube, collecting them.
+    Feasible,
+    /// Through every cube, collecting them; the kernel is not consulted.
+    All,
 }
 
 /// Integer coefficients over kernel variables.
@@ -99,78 +133,106 @@ enum Goal<'f> {
 }
 
 impl<'f> Goal<'f> {
-    /// The alternatives of a branch goal, last alternative first.
-    fn alternatives(self) -> Vec<Goal<'f>> {
+    /// Pushes the alternatives of a branch goal onto `stack`, last first.
+    fn push_alternatives(self, stack: &mut Vec<Goal<'f>>) {
         match self {
-            Goal::Formula(Formula::Or(parts)) => parts.iter().rev().map(Goal::Formula).collect(),
+            Goal::Formula(Formula::Or(parts)) => {
+                stack.extend(parts.iter().rev().map(Goal::Formula));
+            }
             // e ≠ 0  ⇔  e − 1 ≥ 0  ∨  −e − 1 ≥ 0
             Goal::Linear(RelOp::Ne, terms, constant) => {
                 let negated = terms.iter().map(|&(v, c)| (v, -c)).collect();
-                vec![
-                    Goal::Linear(RelOp::Ge, negated, -constant - Rational::one()),
-                    Goal::Linear(RelOp::Ge, terms, constant - Rational::one()),
-                ]
+                stack.push(Goal::Linear(
+                    RelOp::Ge,
+                    negated,
+                    -constant - Rational::one(),
+                ));
+                stack.push(Goal::Linear(RelOp::Ge, terms, constant - Rational::one()));
             }
             _ => unreachable!("only disjunctions and `≠` atoms branch"),
         }
     }
 }
 
-/// One branch point of the search: the kernel state before its alternatives,
-/// the conjuncts every alternative shares, and the alternatives not yet tried.
-struct Frame<'f> {
-    mark: Checkpoint,
-    rest: Vec<Goal<'f>>,
-    alternatives: Vec<Goal<'f>>,
+/// Where a walk stands once the conjuncts before its next branch are asserted.
+enum Step<'f> {
+    /// The partial cube is infeasible.
+    Dead,
+    /// The path is a whole cube (feasible, unless the walk is `Walk::All`).
+    Cube,
+    /// The disjunction or `≠` to branch on next.
+    Branch(Goal<'f>),
 }
 
-/// The state of one query: the kernel and its structural variable per name.
-/// The names are scanned linearly: a query names a handful (at most nine on
-/// the corpus), where hashing cost more than the scans.
+/// One branch point, as positions in the walk's stacks: the kernel's bound
+/// trail and the path before its alternatives, and where the conjuncts every
+/// alternative shares and its untried alternatives start.
+struct Frame {
+    mark: Checkpoint,
+    path: usize,
+    rest: usize,
+    alternatives: usize,
+}
+
+/// The state of one walk: the kernel, its structural variable per name, the
+/// path of atoms from the root and the cubes collected. The names are scanned
+/// linearly: a query names a handful (at most nine on the corpus), where
+/// hashing cost more than the scans.
 #[derive(Default)]
 struct Search<'f> {
+    walk: Walk,
     kernel: BoundedSimplex,
     columns: Vec<(&'f str, usize)>,
+    path: Cube,
+    cubes: Vec<Cube>,
 }
 
 impl<'f> Search<'f> {
-    /// Depth-first search for a satisfiable branch of the conjunction of `goals`.
-    fn run(mut self, mut goals: Vec<Goal<'f>>) -> bool {
-        let mut frames: Vec<Frame<'f>> = Vec::new();
+    /// Walks the conjunction of `goals` depth first. `Some(true)` when the
+    /// first-cube walk found a satisfiable cube, `Some(false)` when the walk
+    /// ran to its end, `None`, with a cap event recorded, at the cube cap.
+    fn run(&mut self, mut goals: Vec<Goal<'f>>) -> Option<bool> {
+        let (mut deferred, mut rests, mut alternatives) = (Vec::new(), Vec::new(), Vec::new());
+        let mut frames: Vec<Frame> = Vec::new();
         let mut nodes: u64 = 1;
         let answer = 'search: loop {
-            let mut deferred = Vec::new();
-            if self.absorb(&mut goals, &mut deferred) {
-                if deferred.is_empty() {
-                    break true;
+            match self.step(&mut goals, &mut deferred) {
+                Step::Dead => {}
+                Step::Cube if self.walk == Walk::First => break Some(true),
+                Step::Cube => self.cubes.push(self.path.clone()),
+                Step::Branch(branch) => {
+                    frames.push(Frame {
+                        mark: self.kernel.checkpoint(),
+                        path: self.path.len(),
+                        rest: rests.len(),
+                        alternatives: alternatives.len(),
+                    });
+                    rests.append(&mut goals);
+                    branch.push_alternatives(&mut alternatives);
                 }
-                let branch = deferred.remove(0);
-                frames.push(Frame {
-                    mark: self.kernel.checkpoint(),
-                    rest: deferred,
-                    alternatives: branch.alternatives(),
-                });
             }
             // The next untried alternative, innermost branch first.
             loop {
-                let Some(frame) = frames.last_mut() else {
-                    break 'search false;
+                let Some(frame) = frames.last() else {
+                    break 'search Some(false);
                 };
                 self.kernel.backtrack(frame.mark);
-                let Some(alternative) = frame.alternatives.pop() else {
+                self.path.truncate(frame.path);
+                if alternatives.len() == frame.alternatives {
+                    rests.truncate(frame.rest);
                     frames.pop();
                     continue;
-                };
+                }
                 nodes += 1;
                 if nodes > dnf::CUBE_CAP {
                     dnf::record_cap_event();
-                    break 'search true;
+                    break 'search None;
                 }
-                // The alternative is absorbed first; the shared conjuncts
-                // follow and keep their order for the next branch.
+                // The alternative comes first; the shared conjuncts follow
+                // and keep their order for the next branch.
                 goals.clear();
-                goals.extend(frame.rest.iter().rev().cloned());
-                goals.push(alternative);
+                goals.extend_from_slice(&rests[frame.rest..]);
+                goals.push(alternatives.pop().expect("an untried alternative"));
                 break;
             }
         };
@@ -178,21 +240,34 @@ impl<'f> Search<'f> {
         answer
     }
 
-    /// Asserts every conjunct of `goals` that needs no branch and moves the
-    /// others to `deferred`; returns whether the partial cube is feasible.
-    fn absorb(&mut self, goals: &mut Vec<Goal<'f>>, deferred: &mut Vec<Goal<'f>>) -> bool {
+    /// Asserts the conjuncts of `goals` that need no branch, then checks the
+    /// partial cube. The first-cube walk asserts all of them, deferring the
+    /// branches, and branches on the first deferred one; the collecting walks
+    /// move atoms onto the path in order up to the first branch and leave the
+    /// conjuncts after it on `goals`.
+    fn step(&mut self, goals: &mut Vec<Goal<'f>>, deferred: &mut Vec<Goal<'f>>) -> Step<'f> {
+        let collect = self.walk != Walk::First;
+        deferred.clear();
         while let Some(goal) = goals.pop() {
             let feasible = match goal {
                 Goal::Formula(formula) => match formula {
                     Formula::True => true,
                     Formula::False => false,
-                    Formula::Atom(c) => self.literal(c, deferred),
+                    Formula::Atom(c) => {
+                        if collect {
+                            self.path.push(c.clone());
+                        }
+                        self.walk == Walk::All || self.literal(c, deferred)
+                    }
                     Formula::And(parts) => {
                         goals.extend(parts.iter().rev().map(Goal::Formula));
                         true
                     }
                     Formula::Or(_) => {
                         deferred.push(goal);
+                        if collect {
+                            break;
+                        }
                         true
                     }
                     Formula::Not(_) | Formula::Exists(..) => {
@@ -203,10 +278,18 @@ impl<'f> Search<'f> {
                 Goal::Linear(op, terms, constant) => self.linear(op, terms, constant, deferred),
             };
             if !feasible {
-                return false;
+                return Step::Dead;
             }
         }
-        self.kernel.check()
+        if self.walk != Walk::All && !self.kernel.check() {
+            return Step::Dead;
+        }
+        if deferred.is_empty() {
+            return Step::Cube;
+        }
+        let branch = deferred.remove(0);
+        goals.extend(deferred.drain(..).rev());
+        Step::Branch(branch)
     }
 
     /// The kernel variable of a structural variable name.
@@ -425,19 +508,85 @@ mod tests {
         }
     }
 
-    /// The lazy search answers as the eager route — every DNF cube checked
-    /// on its own — whenever the eager conversion stays under the cube cap.
+    /// The eager product expansion of an open negation normal form, uncapped:
+    /// the reference the walks are gated against. A `≠` atom splits into
+    /// [`Constraint::split_ne`]'s two cases, and an `And` multiplies the cubes
+    /// of its parts left to right.
+    fn eager_dnf(formula: &Formula) -> Vec<Cube> {
+        match formula {
+            Formula::True => vec![vec![]],
+            Formula::False => vec![],
+            Formula::Atom(c) => match c.split_ne() {
+                Some([a, b]) => vec![vec![a], vec![b]],
+                None => vec![vec![c.clone()]],
+            },
+            Formula::Or(parts) => parts.iter().flat_map(eager_dnf).collect(),
+            Formula::And(parts) => parts.iter().fold(vec![vec![]], |cubes, part| {
+                let part_cubes = eager_dnf(part);
+                cubes
+                    .iter()
+                    .flat_map(|cube| part_cubes.iter().map(move |pc| [&cube[..], pc].concat()))
+                    .collect()
+            }),
+            Formula::Not(_) | Formula::Exists(..) => unreachable!("an open negation normal form"),
+        }
+    }
+
+    /// Seeded formulas, each with its open negation normal form (quantifiers
+    /// renamed away, so both sides of a comparison see the same names).
+    fn open_formulas(seed: u64) -> impl Iterator<Item = (Formula, Formula)> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..400).map(move |_| {
+            let f = quantified_formula(&mut rng, 3);
+            let open = open(&f, false).expect("uncapped");
+            (f, open)
+        })
+    }
+
+    /// The walk over every cube is the eager product expansion, cube for cube,
+    /// in order and with the same atoms.
+    #[test]
+    fn prop_all_walk_is_the_eager_product() {
+        let mut sizes = [0usize; 2];
+        for (_, f) in open_formulas(0x5A704) {
+            let expected = eager_dnf(&f);
+            sizes[usize::from(expected.len() > 8)] += 1;
+            assert_eq!(cubes(&f, Walk::All), Some(expected), "walk differs on {f}");
+        }
+        assert!(
+            sizes.iter().all(|&n| n > 40),
+            "small and large expansions: {sizes:?}"
+        );
+    }
+
+    /// The walk over the satisfiable cubes is the eager product expansion with
+    /// the unsatisfiable cubes dropped, in order and with the same atoms.
+    #[test]
+    fn prop_feasible_walk_is_the_filtered_eager_product() {
+        let mut dropped = 0;
+        for (_, f) in open_formulas(0x5A705) {
+            let all = eager_dnf(&f);
+            let expected: Vec<Cube> = all.iter().filter(|c| cube_sat(c)).cloned().collect();
+            dropped += all.len() - expected.len();
+            assert_eq!(
+                cubes(&f, Walk::Feasible),
+                Some(expected),
+                "walk differs on {f}"
+            );
+        }
+        assert!(
+            dropped > 100,
+            "unsatisfiable cubes must be exercised: {dropped}"
+        );
+    }
+
+    /// The first-cube walk answers as the eager route — every cube of the
+    /// product expansion checked on its own.
     #[test]
     fn prop_lazy_is_sat_agrees_with_eager_dnf() {
-        let mut rng = SmallRng::seed_from_u64(0x5A703);
         let mut answers = [0usize; 2];
-        for _ in 0..400 {
-            let f = quantified_formula(&mut rng, 3);
-            let capped = crate::dnf::cap_events();
-            let eager = crate::dnf::to_dnf(&f).iter().any(cube_sat);
-            if crate::dnf::cap_events() != capped {
-                continue;
-            }
+        for (f, open) in open_formulas(0x5A703) {
+            let eager = eager_dnf(&open).iter().any(cube_sat);
             let lazy = is_sat(&f);
             assert_eq!(lazy, eager, "lazy and eager disagree on {f}");
             answers[usize::from(lazy)] += 1;

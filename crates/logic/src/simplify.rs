@@ -4,7 +4,7 @@
 //!
 //! * [`simplify`] — cheap structural rewriting (constant folding of ground atoms,
 //!   flattening, deduplication). Used everywhere formulas are combined.
-//! * [`prune`] — semantic pruning based on the DNF: drops unsatisfiable cubes,
+//! * [`prune`] — semantic pruning based on the DNF: keeps the satisfiable cubes,
 //!   removes constraints that are entailed by the rest of their cube and cubes that
 //!   are subsumed by other cubes. Used when presenting inferred case conditions, so
 //!   the final summaries look like the paper's (`x ≥ 0 ∧ y < 0` rather than a pile of
@@ -14,7 +14,7 @@ use crate::constraint::Constraint;
 use crate::dnf::{self, Cube};
 use crate::entail;
 use crate::formula::Formula;
-use crate::sat;
+use crate::sat::{self, Walk};
 
 /// Structurally simplifies a formula (constant folding, flattening, deduplication).
 pub fn simplify(formula: &Formula) -> Formula {
@@ -94,30 +94,26 @@ fn prune_cube(cube: &Cube) -> Cube {
     kept
 }
 
-/// Semantically prunes a quantifier-free formula via its DNF.
+/// Semantically prunes a formula via its DNF; the result is always equivalent
+/// to the input.
 ///
-/// The formula is expanded into DNF; unsatisfiable cubes are dropped, each
-/// constraint entailed by the rest of its cube is dropped, cubes subsumed by
-/// another cube are dropped, and a valid result becomes `True`. Each of these steps
-/// keeps the formula equivalent, and no check of the result against the input
-/// runs. The result is therefore equivalent to the input *unless the DNF
-/// expansion overflows the cube cap*: [`dnf::to_dnf`] then returns the TRUE cube,
-/// and `prune` returns `True`, an over-approximation of the input (visible as a
-/// [`dnf::cap_events`] increment). Callers in strengthening positions snapshot
-/// that counter. Expanding through the lazy satisfiability search instead, and
-/// returning the input on overflow, is open (ROADMAP item 3(c)).
+/// The satisfiable cubes of the formula are collected by the [`sat`] search (the
+/// walk that skips unsatisfiable cubes), each constraint entailed by the rest of
+/// its cube is dropped, cubes subsumed by another cube are dropped, and a valid
+/// result becomes `True`. Each of these steps keeps the formula equivalent, and no
+/// check of the result against the input runs. When the walk stops at the cube
+/// cap, `prune` returns its structurally simplified input instead, still
+/// equivalent but unpruned, and the stop is visible as a [`dnf::cap_events`]
+/// increment.
 pub fn prune(formula: &Formula) -> Formula {
     let simplified = simplify(formula);
     if simplified.is_true() || simplified.is_false() {
         return simplified;
     }
-    let cubes = dnf::to_dnf(&simplified);
-    // Drop unsatisfiable cubes and prune the rest.
-    let mut live: Vec<Cube> = cubes
-        .into_iter()
-        .filter(sat::cube_sat)
-        .map(|c| prune_cube(&c))
-        .collect();
+    let Some(cubes) = sat::cubes(&simplified, Walk::Feasible) else {
+        return simplified;
+    };
+    let mut live: Vec<Cube> = cubes.iter().map(prune_cube).collect();
     if live.is_empty() {
         return Formula::False;
     }
@@ -255,6 +251,37 @@ mod tests {
             Some(2)
         );
         assert_eq!(as_conjunction(&Formula::or(vec![x_ge(0), x_ge(2)])), None);
+    }
+
+    /// `⋀_{i<15} yᵢ ≠ 0`: 2^15 satisfiable cubes, past the cube cap.
+    fn fifteen_disequalities() -> Formula {
+        Formula::and(
+            (0..15)
+                .map(|i| Constraint::ne(Lin::var(format!("y{i}")), n(0)).into())
+                .collect(),
+        )
+    }
+
+    /// A prune that stops at the cube cap returns its (simplified) input, which
+    /// is equivalent, never `True`.
+    #[test]
+    fn prune_past_the_cube_cap_returns_its_input() {
+        let f = fifteen_disequalities();
+        let capped = dnf::cap_events();
+        let pruned = prune(&f);
+        assert_eq!(dnf::cap_events(), capped + 1, "one walk stops at the cap");
+        assert_eq!(pruned, simplify(&f));
+        for zero_at in [None, Some(0), Some(7), Some(14)] {
+            let env = (0..15)
+                .map(|i| {
+                    (
+                        format!("y{i}"),
+                        if Some(i) == zero_at { 0 } else { i as i128 + 1 },
+                    )
+                })
+                .collect();
+            assert_eq!(pruned.eval(&env, 2), f.eval(&env, 2), "zero at {zero_at:?}");
+        }
     }
 
     #[test]

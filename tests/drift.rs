@@ -16,6 +16,9 @@
 //! * **Tier-independence** — the pinned summaries are byte-identical when
 //!   computed cold without a cache, served from the in-memory summary cache,
 //!   and served from the persistent store by a fresh session.
+//!
+//! A tripwire also pins where the logic layer's cube cap bites: three times in
+//! each coupled member, nowhere in the others.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -212,5 +215,31 @@ fn drift_summaries_are_identical_across_cache_tiers() {
         );
         assert_eq!(written, uncached, "{}", program.name);
         assert_eq!(served, uncached, "{}", program.name);
+    }
+}
+
+/// The cube cap stops exactly three walks per coupled instance (the
+/// weakest-precondition prunes of `abduce`'s fall-back, which then gives up)
+/// and none in the additive and lagged instances. The counter is
+/// thread-local, so each corpus instance is analysed on this thread.
+#[test]
+fn the_cube_cap_bites_only_in_the_coupled_members() {
+    let instances = (0..3).flat_map(|k| {
+        [
+            (drift_additive(&format!("drift_additive_{k}"), k), 0),
+            (drift_coupled(&format!("drift_coupled_{}", k + 1), k + 1), 3),
+            (drift_lagged(&format!("drift_lagged_{}", k + 1), k + 1), 0),
+        ]
+    });
+    for (program, expected) in instances {
+        let before = hiptnt::logic::dnf::cap_events();
+        hiptnt::infer::analyze_source(&program.source, &InferOptions::default())
+            .expect("analysis succeeds");
+        assert_eq!(
+            hiptnt::logic::dnf::cap_events() - before,
+            expected,
+            "{}: cap events",
+            program.name
+        );
     }
 }

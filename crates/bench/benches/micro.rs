@@ -161,9 +161,9 @@ fn kernel_farkas_lp(c: &mut Criterion) {
         let conclusion = template.add_const(Rational::from(k));
         encode_implication(&mut lp, &mut multipliers, &premises, &conclusion);
     }
-    let pivots = tnt_solver::simplex::pivot_work();
+    let pivots = tnt_solver::work::pivots();
     assert!(lp.solve().is_feasible());
-    assert!(tnt_solver::simplex::pivot_work() > pivots);
+    assert!(tnt_solver::work::pivots() > pivots);
     c.bench_function("kernel/farkas_lp", |b| {
         b.iter(|| black_box(&lp).solve().status)
     });

@@ -31,7 +31,7 @@ struct SuiteSnapshot {
     timeout: usize,
     precision: f64,
     unsound: usize,
-    /// Deterministic work units (simplex pivots + DNF cubes) of the suite.
+    /// Deterministic work units (simplex pivots + satisfiability-search nodes) of the suite.
     work: u64,
     /// Wall-clock seconds of the cold pass, summed over the suite's programs
     /// (machine-local).

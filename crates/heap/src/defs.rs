@@ -45,17 +45,6 @@ pub struct PredDef {
     pub branches: Vec<PredBranch>,
 }
 
-impl PredDef {
-    /// Returns `true` if the given branch mentions the predicate itself (a recursive
-    /// branch) — used by the size heuristics and by tests.
-    pub fn branch_is_recursive(&self, branch: &PredBranch) -> bool {
-        branch.atoms.iter().any(|a| match a {
-            HeapAtom::Pred { name, .. } => *name == self.name,
-            _ => false,
-        })
-    }
-}
-
 /// Converts a syntactic heap formula into atoms (arguments must be affine).
 pub fn heap_formula_to_atoms(heap: &HeapFormula) -> Result<Vec<HeapAtom>, DefError> {
     let lin = |e| {
@@ -204,11 +193,6 @@ impl PredTable {
         &self.lemmas
     }
 
-    /// Returns `true` if the name denotes a declared predicate.
-    pub fn is_pred(&self, name: &str) -> bool {
-        self.defs.contains_key(name)
-    }
-
     /// Unfolds a predicate instance: returns one `(atoms, pure)` alternative per branch
     /// of the definition, with formal parameters replaced by the instance's arguments
     /// and existential variables replaced by fresh names drawn from `fresh`.
@@ -270,13 +254,8 @@ mod tests {
     #[test]
     fn compiles_definitions() {
         let table = table();
-        assert!(table.is_pred("lseg"));
-        assert!(table.is_pred("cll"));
-        assert!(!table.is_pred("tree"));
         let lseg = table.def("lseg").unwrap();
         assert_eq!(lseg.branches.len(), 2);
-        assert!(!lseg.branch_is_recursive(&lseg.branches[0]));
-        assert!(lseg.branch_is_recursive(&lseg.branches[1]));
         assert_eq!(lseg.branches[1].existentials, vec!["p".to_string()]);
     }
 

@@ -1,7 +1,7 @@
 //! Symbolic heaps.
 
 use std::fmt;
-use tnt_logic::{Formula, Lin};
+use tnt_logic::Lin;
 
 /// An atomic heap assertion.
 #[derive(Clone, Debug, PartialEq)]
@@ -150,19 +150,6 @@ impl HeapState {
         }
     }
 
-    /// Finds the index of an atom whose root is (syntactically, modulo the supplied
-    /// pure equalities) the given variable.
-    pub fn find_root(
-        &self,
-        root: &Lin,
-        pure: &Formula,
-        aliases_of: impl Fn(&Lin, &Lin, &Formula) -> bool,
-    ) -> Option<usize> {
-        self.atoms
-            .iter()
-            .position(|a| a.root() == *root || aliases_of(&a.root(), root, pure))
-    }
-
     /// Removes and returns the atom at the given index.
     pub fn take(&mut self, index: usize) -> HeapAtom {
         self.atoms.remove(index)
@@ -235,19 +222,5 @@ mod tests {
         )]));
         assert_eq!(star.atoms.len(), 3);
         assert_eq!(star.to_string(), "x -> node(0) * lseg(y, 0, n) * cll(z, m)");
-    }
-
-    #[test]
-    fn find_root_with_syntactic_match() {
-        let state = HeapState::new(vec![
-            HeapAtom::pred("lseg", vec![var("a"), num(0), var("n")]),
-            HeapAtom::points_to(var("b"), "node", vec![num(0)]),
-        ]);
-        let no_alias = |_: &Lin, _: &Lin, _: &Formula| false;
-        assert_eq!(
-            state.find_root(&var("b"), &Formula::True, no_alias),
-            Some(1)
-        );
-        assert_eq!(state.find_root(&var("c"), &Formula::True, no_alias), None);
     }
 }

@@ -35,7 +35,8 @@ pub struct InferOptions {
     pub orbit_enrichment: bool,
     /// Re-verify the inferred specifications (the paper's re-checking step).
     pub validate: bool,
-    /// Deterministic work budget in simplex pivots (see [`SolveOptions::work_budget`]).
+    /// Deterministic work budget in work units, simplex pivots plus
+    /// satisfiability-search nodes (see [`SolveOptions::work_budget`]).
     pub work_budget: u64,
     /// Upper bound on the total number of inferred cases
     /// (see [`SolveOptions::max_total_cases`]).
@@ -116,7 +117,7 @@ pub struct AnalysisResult {
     /// budget-exhausted outcome (`MayLoop`, `stats.budget_exhausted` set), and the
     /// bit travels *with the result* — a cache entry served on a different thread
     /// stays poisoned without consulting the per-thread
-    /// [`tnt_solver::rational::overflow_work`] counter that detected it.
+    /// [`tnt_solver::work::overflows`] counter that detected it.
     pub poisoned: bool,
     /// Wall-clock time of the analysis in seconds.
     pub elapsed: f64,
@@ -218,7 +219,7 @@ pub(crate) fn analyze_program_scoped(
     // Snapshot before verification: the Hoare pass already runs entailment checks
     // through the same saturating rational arithmetic, and assumptions corrupted
     // there must poison the final result too.
-    let overflow_before = tnt_solver::rational::overflow_work();
+    let overflow_before = tnt_solver::work::overflows();
     let analysis = verify_program(program).map_err(|e| InferError {
         message: e.to_string(),
     })?;
@@ -249,7 +250,7 @@ pub(crate) fn analyze_program_scoped(
     // The thread-local overflow counter only detects saturation *here*, on the
     // thread that ran the analysis; from this point on the poison is carried by
     // the result itself so it survives caching and thread hand-offs.
-    let poisoned = tnt_solver::rational::overflow_work() != overflow_before;
+    let poisoned = tnt_solver::work::overflows() != overflow_before;
     if poisoned {
         // Some rational operation saturated: every value computed since — guards,
         // measures, verdicts — is untrustworthy. Degrade the whole result to the

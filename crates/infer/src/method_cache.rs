@@ -95,8 +95,8 @@ pub struct RootRecord {
 
 /// One replayable SCC resolution from the iteration-0 window: which cases the
 /// reachability SCC spanned, what each resolved to, and the deterministic cost
-/// the proof paid (work units and simplex pivots, plus the prover-attempt
-/// counters), so replay can charge the cold run's exact statistics.
+/// the proof paid (work units, plus the prover-attempt counters), so replay
+/// can charge the cold run's exact statistics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EventRecord {
     /// The member cases, as sorted `(root, case index)` coordinates.
@@ -106,10 +106,9 @@ pub struct EventRecord {
     /// `MayLoop` never appears — it arises from exhaustion, which
     /// disqualifies the whole record.
     pub outcomes: Vec<(String, usize, CaseStatus)>,
-    /// Work units (pivots + cubes) the original processing spent.
+    /// Work units (pivots + search nodes, see [`tnt_solver::work::units`]) the
+    /// original processing spent.
     pub work: u64,
-    /// Simplex pivots alone (the component the solver deadline meters).
-    pub pivots: u64,
     /// Ranking-synthesis attempts the original processing counted.
     pub ranking_attempts: usize,
     /// Non-termination-proof attempts the original processing counted.

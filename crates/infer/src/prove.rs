@@ -10,7 +10,7 @@ use tnt_solver::lexicographic::synthesize_lexicographic_mixed;
 use tnt_solver::multiphase::synthesize_multiphase;
 use tnt_solver::recurrent::{self, RecurrentSet};
 use tnt_solver::system::{NodeId, Transition, TransitionSystem};
-use tnt_solver::{farkas, ranking, Ineq, MeasureItem, Rational};
+use tnt_solver::{farkas, ranking, work, Ineq, MeasureItem, Rational};
 
 /// Converts a context formula into guard cubes usable by the ranking back-end: each
 /// cube is a conjunction of `≥ 0` inequalities (dis-equalities are dropped, which only
@@ -224,7 +224,7 @@ pub fn prove_term_conditional(
         });
     }
     loop {
-        if tnt_solver::simplex::deadline_exceeded() {
+        if work::deadline_exceeded() {
             return None;
         }
         let mut changed = false;
@@ -736,9 +736,9 @@ pub fn abduce(context: &Formula, beta: &Formula, vars: &[String]) -> Option<Form
     // up when pruning it stops at the cube cap, as its unpruned form costs more.
     let keep: std::collections::BTreeSet<String> = vars.iter().cloned().collect();
     let wp = qe::project(&context.clone().and2(beta.clone().negate()), &keep).negate();
-    let capped_before = dnf::cap_events();
+    let capped_before = work::cap_events();
     let wp = simplify::prune(&wp);
-    if dnf::cap_events() != capped_before {
+    if work::cap_events() != capped_before {
         return None;
     }
     let strengthened = context.clone().and2(wp.clone());
@@ -863,10 +863,10 @@ mod tests {
         );
         vars.extend(["z".to_string(), "w".to_string()]);
         let beta: Formula = Constraint::ge(var("z").add(&var("w")), num(0)).into();
-        let capped = dnf::cap_events();
+        let capped = work::cap_events();
         assert_eq!(abduce(&context, &beta, &vars), None);
         assert_eq!(
-            dnf::cap_events(),
+            work::cap_events(),
             capped + 1,
             "only the fall-back prune stops"
         );

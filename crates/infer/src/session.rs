@@ -30,7 +30,7 @@
 //!   [`AnalysisResult`]s. Entries carry the whole result, including the
 //!   [`AnalysisResult::poisoned`] bit: a summary degraded by saturated rational
 //!   arithmetic stays degraded when served on a *different* thread, where the
-//!   per-thread [`tnt_solver::rational::overflow_work`] counter that originally
+//!   per-thread [`tnt_solver::work::overflows`] counter that originally
 //!   detected the overflow never moved. The per-method record tier (see
 //!   [`crate::method_cache`]) is the same guarded cache keyed by
 //!   [`MethodKey`], so both tiers share one verification code path.
@@ -404,10 +404,11 @@ pub struct SessionStats {
     pub method_hits: u64,
     /// Programs actually analysed.
     pub cache_misses: u64,
-    /// Deterministic work units (simplex pivots + DNF cubes) actually spent by
-    /// this session across all worker threads — the full per-analysis counter
-    /// delta (verification, solving *and* validation; failed and panicked runs
-    /// included). Cache hits add nothing here, which is exactly the point.
+    /// Deterministic work units ([`tnt_solver::work::units`]: simplex pivots +
+    /// satisfiability-search nodes) actually spent by this session across all
+    /// worker threads — the full per-analysis counter delta (verification,
+    /// solving *and* validation; failed and panicked runs included). Cache
+    /// hits add nothing here, which is exactly the point.
     pub work: u64,
 }
 
@@ -912,9 +913,9 @@ fn isolated(
     analysis: impl FnOnce() -> Result<(AnalysisResult, HarvestedRecords), InferError>,
 ) -> JobOutcome {
     let start = std::time::Instant::now();
-    let work_before = crate::solve::work_units();
+    let work_before = tnt_solver::work::units();
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(analysis));
-    let spent = crate::solve::work_units().wrapping_sub(work_before);
+    let spent = tnt_solver::work::units().wrapping_sub(work_before);
     let (result, records, panic_note) = match attempt {
         Ok(Ok((result, records))) => (Ok(result), records, None),
         Ok(Err(error)) => (Err(error), Vec::new(), None),

@@ -10,6 +10,7 @@ use crate::summary::CaseStatus;
 use crate::theta::{CaseState, Theta};
 use std::collections::{BTreeMap, BTreeSet};
 use tnt_logic::{entail, qe, simplify, Formula};
+use tnt_solver::work;
 use tnt_verify::hoare::ProgramAnalysis;
 
 /// Tunable options of the solver and its provers (exposed for the ablation
@@ -41,10 +42,12 @@ pub struct SolveOptions {
     /// [`SolveOptions::recurrent`]. Its work is accounted separately in
     /// [`SolveStats::orbit_work`].
     pub orbit_enrichment: bool,
-    /// Deterministic work budget, counted in *work units*: simplex pivots plus DNF
-    /// cubes produced (the two super-linear cores of the back-end). When the
-    /// refinement loop has spent more than this, remaining unknown cases are left
-    /// unresolved (they finalize to `MayLoop`) and
+    /// Deterministic work budget, counted in *work units*
+    /// ([`tnt_solver::work::units`]): simplex pivots plus satisfiability-search
+    /// nodes (the two super-linear cores of the back-end). It is the deadline
+    /// of the run, so synthesis loops inside the provers stop between LP solves
+    /// once it has passed. When the refinement loop has spent more than this,
+    /// remaining unknown cases are left unresolved (they finalize to `MayLoop`) and
     /// [`SolveStats::budget_exhausted`] is set — the analyzer's equivalent of the
     /// paper's T/O outcome, counted in solver work rather than wall-clock time so
     /// results stay reproducible.
@@ -107,7 +110,8 @@ pub struct SolveStats {
     /// Number of orbit-enriched recurrent-set synthesis attempts (the staged
     /// pass that fires once the abductive splitter is exhausted).
     pub orbit_attempts: usize,
-    /// Work units (simplex pivots + DNF cubes) spent by this run.
+    /// Work units (simplex pivots + satisfiability-search nodes) spent by this
+    /// run.
     pub work: u64,
     /// The slice of [`SolveStats::work`] spent inside orbit-enriched synthesis
     /// attempts — the enrichment's own work accounting, so its cost is
@@ -126,10 +130,10 @@ pub fn solve(analysis: &ProgramAnalysis, options: &SolveOptions) -> (Theta, Solv
 
 /// [`solve`] with method-tier replay and harvest hooks (see
 /// [`crate::method_cache`]): recorded iteration-0 SCC resolutions from `plan`
-/// are injected in place of re-running the provers (with their recorded
-/// work/pivot cost charged to [`SolveStats`], so the returned statistics stay
-/// byte-identical to a cold run), and — when `trace_enabled` — the run's own
-/// replay-eligible events are captured for harvesting.
+/// are injected in place of re-running the provers (with their recorded work
+/// charged to [`SolveStats`] and to the deadline, so the returned statistics
+/// stay byte-identical to a cold run), and — when `trace_enabled` — the run's
+/// own replay-eligible events are captured for harvesting.
 pub(crate) fn solve_with_scope(
     analysis: &ProgramAnalysis,
     options: &SolveOptions,
@@ -148,7 +152,7 @@ pub(crate) fn solve_with_scope(
             // over-approximation `to_dnf` falls back to at its cube cap would wrongly
             // enlarge the inferred base case. Skip the base case for this method if
             // any conversion was capped while computing it.
-            let cap_events_before = tnt_logic::dnf::cap_events();
+            let cap_events_before = work::cap_events();
             let vars: BTreeSet<String> = method.vars.iter().cloned().collect();
             // Both operands are pruned *before* the negation below: projections of
             // heap-laden contexts contain many redundant disjuncts whose negation
@@ -180,7 +184,7 @@ pub(crate) fn solve_with_scope(
             for cube in tnt_logic::dnf::to_dnf(&remainder) {
                 parts.push((tnt_logic::dnf::from_dnf(&[cube]), None));
             }
-            if tnt_logic::dnf::cap_events() > cap_events_before {
+            if work::cap_events() > cap_events_before {
                 stats.budget_exhausted = true;
                 continue;
             }
@@ -204,22 +208,16 @@ pub(crate) fn solve_with_scope(
         trace.base = base_snapshot.clone();
     }
     let replay_events = active_events(plan, &base_snapshot);
-    // Work/pivots charged on behalf of replayed events: added to the reported
-    // `stats.work` (keeping it byte-identical to a cold run) and subtracted
-    // from the solver deadline (keeping the budget horizon where the cold run
-    // would have had it).
-    let mut injected = Charge::default();
+    // Work charged on behalf of replayed events: added to the reported
+    // `stats.work` (keeping it byte-identical to a cold run) and to the budget
+    // (keeping the deadline where the cold run would have had it).
+    let mut injected: u64 = 0;
 
-    // Main refinement loop (lines 6–14 of Fig. 6).
-    let work_start = work_units();
-    // The deadline lets synthesis loops inside the solver stop between LP solves,
-    // bounding how far a single prove call can overshoot the budget.
-    let deadline_base = tnt_solver::simplex::pivot_work().saturating_add(options.work_budget);
-    let previous_deadline = tnt_solver::simplex::set_work_deadline(deadline_base);
-    let over_budget = |stats: &mut SolveStats, injected: u64| {
-        stats.work = work_units().wrapping_sub(work_start).wrapping_add(injected);
-        stats.work > options.work_budget
-    };
+    // Main refinement loop (lines 6–14 of Fig. 6). The budget is the deadline:
+    // synthesis loops inside the solver stop between LP solves once it has
+    // passed, bounding how far a single prove call can overshoot it.
+    let work_start = work::units();
+    let budget = work::Budget::new(options.work_budget);
     // Abductive splits applied so far per root case family, charged against
     // [`SolveOptions::max_splits_per_family`]. Only the abductive splitter is
     // charged: splits carved out by the conditional-termination and
@@ -231,7 +229,7 @@ pub(crate) fn solve_with_scope(
             break;
         }
         let total_cases: usize = theta.definitions().map(|(_, d)| d.cases.len()).sum();
-        if total_cases > options.max_total_cases || over_budget(&mut stats, injected.work) {
+        if total_cases > options.max_total_cases || work::deadline_exceeded() {
             stats.budget_exhausted = true;
             break;
         }
@@ -242,7 +240,7 @@ pub(crate) fn solve_with_scope(
 
         let mut progressed = false;
         'scc: for scc in graph.sccs.clone() {
-            if over_budget(&mut stats, injected.work) {
+            if work::deadline_exceeded() {
                 stats.budget_exhausted = true;
                 break 'outer;
             }
@@ -263,7 +261,7 @@ pub(crate) fn solve_with_scope(
             let event_start = members
                 .as_ref()
                 .filter(|_| trace_enabled)
-                .map(|_| EventStart::at(&stats, &injected));
+                .map(|_| EventStart::at(&stats, injected));
             // A recorded event whose member set matches (and whose roots
             // reproduced their recorded base partitions) stands in for the
             // context-free rungs: its resolutions, counters and work are
@@ -272,7 +270,7 @@ pub(crate) fn solve_with_scope(
                 let key: Vec<(String, usize)> =
                     ms.iter().map(|(r, i, _)| (r.clone(), *i)).collect();
                 let event = replay_events.get(&key)?;
-                replay(event, ms, &mut stats, &mut injected, deadline_base)
+                replay(event, ms, &mut stats, &mut injected, &budget)
             });
             let rungs = replayed.map_or_else(
                 || context_free_rungs(&scc, &graph, &obligations, &theta, options, &mut stats),
@@ -281,7 +279,7 @@ pub(crate) fn solve_with_scope(
             let mut splits = match rungs {
                 Ok(resolutions) => {
                     if let Some(event) = event_start.and_then(|start| {
-                        start.finish(members.as_deref()?, &resolutions, &stats, &injected)
+                        start.finish(members.as_deref()?, &resolutions, &stats, injected)
                     }) {
                         trace.events.push(event);
                     }
@@ -314,7 +312,7 @@ pub(crate) fn solve_with_scope(
                         {
                             continue;
                         }
-                        let start = work_units();
+                        let start = work::units();
                         let no_hypotheses = BTreeSet::new();
                         let rec = prove_nonterm_recurrent(
                             &scc,
@@ -328,7 +326,7 @@ pub(crate) fn solve_with_scope(
                             Pool::Guards => stats.nonterm_attempts += 1,
                             Pool::Orbit => {
                                 stats.orbit_attempts += 1;
-                                let spent = work_units().wrapping_sub(start);
+                                let spent = work::units().wrapping_sub(start);
                                 stats.orbit_work = stats.orbit_work.wrapping_add(spent);
                             }
                         }
@@ -379,10 +377,9 @@ pub(crate) fn solve_with_scope(
             break;
         }
     }
-    stats.work = work_units()
+    stats.work = work::units()
         .wrapping_sub(work_start)
-        .wrapping_add(injected.work);
-    tnt_solver::simplex::set_work_deadline(previous_deadline);
+        .wrapping_add(injected);
 
     theta.finalize();
     (theta, stats, trace)
@@ -478,27 +475,19 @@ fn settle(
     false
 }
 
-/// Work and pivots charged on behalf of replayed events.
-#[derive(Clone, Copy, Default)]
-struct Charge {
-    work: u64,
-    pivots: u64,
-}
-
 /// Applies the charges of a recorded `event` and returns its resolutions on
 /// the SCC with member coordinates `ms`, when the event applies: it covers
-/// exactly the members, and charging its pivots stays within the deadline. The
-/// deadline check keeps a case where the cold run's prover would have tripped
-/// the budget mid-proof on the fresh path instead.
+/// exactly the members, and its work fits before the deadline of `budget`,
+/// which it then lowers. The deadline check keeps a case where the cold run's
+/// prover would have tripped the budget mid-proof on the fresh path instead.
 fn replay(
     event: &EventRecord,
     ms: &[(String, usize, String)],
     stats: &mut SolveStats,
-    injected: &mut Charge,
-    deadline: u64,
+    injected: &mut u64,
+    budget: &work::Budget,
 ) -> Option<Resolutions> {
-    let charged_pivots = tnt_solver::simplex::pivot_work().wrapping_add(injected.pivots);
-    if charged_pivots.wrapping_add(event.pivots) > deadline || event.outcomes.len() != ms.len() {
+    if event.outcomes.len() != ms.len() {
         return None;
     }
     let resolutions = event
@@ -509,11 +498,12 @@ fn replay(
             Some((pre.clone(), CaseState::from(status)))
         })
         .collect::<Option<_>>()?;
+    if !budget.charge(event.work) {
+        return None;
+    }
     stats.ranking_attempts += event.ranking_attempts;
     stats.nonterm_attempts += event.nonterm_attempts;
-    injected.work = injected.work.wrapping_add(event.work);
-    injected.pivots = injected.pivots.wrapping_add(event.pivots);
-    tnt_solver::simplex::set_work_deadline(deadline.saturating_sub(injected.pivots));
+    *injected = injected.wrapping_add(event.work);
     Some(resolutions)
 }
 
@@ -521,16 +511,14 @@ fn replay(
 /// replayed charges included.
 struct EventStart {
     work: u64,
-    pivots: u64,
     ranking_attempts: usize,
     nonterm_attempts: usize,
 }
 
 impl EventStart {
-    fn at(stats: &SolveStats, injected: &Charge) -> EventStart {
+    fn at(stats: &SolveStats, injected: u64) -> EventStart {
         EventStart {
-            work: work_units().wrapping_add(injected.work),
-            pivots: tnt_solver::simplex::pivot_work().wrapping_add(injected.pivots),
+            work: work::units().wrapping_add(injected),
             ranking_attempts: stats.ranking_attempts,
             nonterm_attempts: stats.nonterm_attempts,
         }
@@ -543,7 +531,7 @@ impl EventStart {
         ms: &[(String, usize, String)],
         resolutions: &[(String, CaseState)],
         stats: &SolveStats,
-        injected: &Charge,
+        injected: u64,
     ) -> Option<EventRecord> {
         let outcomes: Vec<(String, usize, CaseStatus)> = resolutions
             .iter()
@@ -555,12 +543,7 @@ impl EventStart {
         (outcomes.len() == ms.len()).then(|| EventRecord {
             members: ms.iter().map(|(r, i, _)| (r.clone(), *i)).collect(),
             outcomes,
-            work: work_units()
-                .wrapping_add(injected.work)
-                .wrapping_sub(self.work),
-            pivots: tnt_solver::simplex::pivot_work()
-                .wrapping_add(injected.pivots)
-                .wrapping_sub(self.pivots),
+            work: work::units().wrapping_add(injected).wrapping_sub(self.work),
             ranking_attempts: stats.ranking_attempts - self.ranking_attempts,
             nonterm_attempts: stats.nonterm_attempts - self.nonterm_attempts,
         })
@@ -645,17 +628,6 @@ fn scc_members(theta: &Theta, scc: &[String]) -> Option<Vec<(String, usize, Stri
     Some(members)
 }
 
-/// The deterministic work measure budgeted by [`SolveOptions::work_budget`]:
-/// simplex pivots plus DNF cubes and satisfiability-search nodes
-/// (`tnt_logic::dnf::cube_work`), the super-linear cores of the back-end.
-///
-/// The counter is monotone and **per-thread**; callers that need to attribute the
-/// work spent by a unit of analysis (including one that panics mid-way) snapshot
-/// it before and after on the same thread.
-pub fn work_units() -> u64 {
-    tnt_solver::simplex::pivot_work().wrapping_add(tnt_logic::dnf::cube_work())
-}
-
 fn resolved(theta: &Theta, pre: &str) -> bool {
     let Some((root, index)) = theta.case_of_pre(pre) else {
         return true;
@@ -674,24 +646,14 @@ fn resolved(theta: &Theta, pre: &str) -> bool {
 ///   internal edge of its case (re-checked through the sound Farkas implication);
 /// * every `Loop` case's unreachability obligations hold under the final definitions.
 ///
-/// Validation re-runs the provers, so callers that raised
-/// [`SolveOptions::work_budget`] for solving should re-verify under the same
-/// budget, or the re-check fails on budget exhaustion alone.
+/// Validation re-runs the provers, so it runs under a work budget of its own,
+/// the deadline of its provers; exhausting it means the re-check is
+/// inconclusive and the store is conservatively reported as not validated.
+/// Callers that raised [`SolveOptions::work_budget`] for solving should
+/// re-verify under the same budget, or the re-check fails on budget exhaustion
+/// alone.
 pub fn validate_with_budget(analysis: &ProgramAnalysis, theta: &Theta, budget: u64) -> bool {
-    // Validation re-runs the provers, so it gets the same deterministic budget as
-    // the solver; exhausting it means the re-check is inconclusive and the store
-    // is conservatively reported as not validated.
-    let previous_deadline = tnt_solver::simplex::set_work_deadline(
-        tnt_solver::simplex::pivot_work().saturating_add(budget),
-    );
-    let result = validate_within_budget(analysis, theta, budget);
-    tnt_solver::simplex::set_work_deadline(previous_deadline);
-    result
-}
-
-fn validate_within_budget(analysis: &ProgramAnalysis, theta: &Theta, budget: u64) -> bool {
-    let work_start = work_units();
-    let over_budget = || work_units().wrapping_sub(work_start) > budget;
+    let _budget = work::Budget::new(budget);
     // 1. Guard partitions.
     for (_, def) in theta.definitions() {
         let guards: Vec<Formula> = def.cases.iter().map(|c| c.guard.clone()).collect();
@@ -701,7 +663,7 @@ fn validate_within_budget(analysis: &ProgramAnalysis, theta: &Theta, budget: u64
             }
         }
         for (i, a) in guards.iter().enumerate() {
-            if over_budget() {
+            if work::deadline_exceeded() {
                 return false;
             }
             for b in guards.iter().skip(i + 1) {
@@ -749,7 +711,7 @@ fn validate_within_budget(analysis: &ProgramAnalysis, theta: &Theta, budget: u64
         }
     }
     for scc in &graph.sccs {
-        if over_budget() {
+        if work::deadline_exceeded() {
             return false;
         }
         // Which final states do these nodes map to? The view's case indices coincide

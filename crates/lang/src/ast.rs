@@ -62,14 +62,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Returns `true` for comparison operators (whose result is boolean).
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
     /// Returns `true` for boolean connectives.
     pub fn is_logical(&self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
@@ -308,15 +300,6 @@ pub struct MethodDecl {
 }
 
 impl MethodDecl {
-    /// Names of the integer-typed parameters (the ones the temporal predicates range over).
-    pub fn int_params(&self) -> Vec<Symbol> {
-        self.params
-            .iter()
-            .filter(|p| p.ty == Type::Int)
-            .map(|p| p.name)
-            .collect()
-    }
-
     /// Names of all parameters.
     pub fn param_names(&self) -> Vec<Symbol> {
         self.params.iter().map(|p| p.name).collect()
@@ -471,14 +454,11 @@ mod tests {
         assert!(program.method("bar").is_none());
         let callees = program.callees(program.method("foo").unwrap());
         assert_eq!(callees, vec!["foo".to_string()]);
-        assert_eq!(program.method("foo").unwrap().int_params().len(), 2);
     }
 
     #[test]
     fn binop_classification() {
-        assert!(BinOp::Lt.is_comparison());
         assert!(BinOp::And.is_logical());
         assert!(BinOp::Add.is_arithmetic());
-        assert!(!BinOp::Add.is_comparison());
     }
 }

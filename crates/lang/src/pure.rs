@@ -119,36 +119,6 @@ pub fn expr_to_formula(expr: &Expr) -> Result<Formula, PureError> {
     }
 }
 
-/// Replaces every `nondet()` occurrence in an expression with a fresh variable drawn
-/// from the supplied generator, returning the rewritten expression and the fresh names.
-pub fn replace_nondet(expr: &Expr, fresh: &mut impl FnMut() -> String) -> (Expr, Vec<String>) {
-    fn go(expr: &Expr, fresh: &mut impl FnMut() -> String, out: &mut Vec<String>) -> Expr {
-        match expr {
-            Expr::Nondet => {
-                let name = fresh();
-                out.push(name.clone());
-                Expr::Var(name.into())
-            }
-            Expr::Unary(op, inner) => Expr::Unary(*op, Box::new(go(inner, fresh, out))),
-            Expr::Binary(op, lhs, rhs) => Expr::Binary(
-                *op,
-                Box::new(go(lhs, fresh, out)),
-                Box::new(go(rhs, fresh, out)),
-            ),
-            Expr::Call(name, args) => {
-                Expr::Call(*name, args.iter().map(|a| go(a, fresh, out)).collect())
-            }
-            Expr::New(name, args) => {
-                Expr::New(*name, args.iter().map(|a| go(a, fresh, out)).collect())
-            }
-            other => other.clone(),
-        }
-    }
-    let mut out = Vec::new();
-    let rewritten = go(expr, fresh, &mut out);
-    (rewritten, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,18 +202,5 @@ mod tests {
             Err(PureError::HeapAccess)
         ));
         assert!(matches!(expr_to_lin(&Expr::Nondet), Err(PureError::Nondet)));
-    }
-
-    #[test]
-    fn replace_nondet_introduces_fresh_vars() {
-        let mut counter = 0;
-        let mut fresh = || {
-            counter += 1;
-            format!("nd{counter}")
-        };
-        let expr = parse_expr("nondet() + nondet()").unwrap();
-        let (rewritten, fresh_vars) = replace_nondet(&expr, &mut fresh);
-        assert_eq!(fresh_vars.len(), 2);
-        assert!(expr_to_lin(&rewritten).is_ok());
     }
 }

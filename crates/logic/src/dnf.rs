@@ -4,7 +4,7 @@
 //! disjunctive normal form of a formula: a list of *cubes*, each a conjunction of
 //! canonical constraints with the `≠` atoms split into their two strict cases.
 //! [`to_dnf`] is one walk of the search in [`crate::sat`]; this module keeps the
-//! negation normal form every walk starts from and the counters they charge.
+//! negation normal form every walk starts from and the node cap that bounds them.
 //!
 //! Existential quantifiers in *positive* position are handled exactly by renaming the
 //! bound variables to globally fresh names (satisfiability is preserved). A quantifier
@@ -96,20 +96,15 @@ fn nnf(formula: &Formula, negated: bool) -> Formula {
 /// The formula is equivalent (for satisfiability) to the disjunction of the cubes'
 /// conjunctions; quantified variables in positive position are renamed to fresh
 /// names. A walk stopped at the cube cap returns the TRUE cube, an
-/// over-approximation (visible as a [`cap_events`] increment) that keeps
-/// unsatisfiability checks and weakening callers (transition guards,
-/// abduction hints) sound.
+/// over-approximation (visible as a [`tnt_solver::work::cap_events`]
+/// increment) that keeps unsatisfiability checks and weakening callers
+/// (transition guards, abduction hints) sound.
 pub fn to_dnf(formula: &Formula) -> Vec<Cube> {
     sat::cubes(formula, Walk::All).unwrap_or_else(|| vec![vec![]])
 }
 
-thread_local! {
-    static CUBE_WORK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static CAP_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// The node cap of every walk of the [`sat`] search; a walk past it stops and
-/// records a cap event.
+/// records a cap event ([`tnt_solver::work::cap_events`]).
 ///
 /// The largest walk that finishes on the corpus visits about 1.1 k nodes, and
 /// `kernel/dnf_product`'s 6,561 cubes take 9,841. The cap stays below the ~44 k
@@ -117,33 +112,12 @@ thread_local! {
 /// the end, it would hand ~15 k cubes to the quadratic subsumption pass.
 pub(crate) const CUBE_CAP: u64 = 20_000;
 
-/// Monotone per-thread count of walks stopped at the cube cap.
-///
-/// Callers that cannot tolerate a capped answer (the base-case inference, which
-/// uses projections in a strengthening position, and abduction) snapshot this
-/// counter around a conversion and discard their result if it moved.
-pub fn cap_events() -> u64 {
-    CAP_EVENTS.with(|c| c.get())
-}
-
-pub(crate) fn record_cap_event() {
-    CAP_EVENTS.with(|c| c.set(c.get().wrapping_add(1)));
-}
-
-/// Monotone per-thread count of the nodes the [`sat`] search visited since
-/// thread start: the root of each walk and each alternative it tried.
-///
-/// A node is one partial conjunction, the logic layer's exponential core, so the
-/// count is a deterministic proxy for formula-manipulation work, the analogue of
-/// `tnt_solver::simplex::pivot_work`. Budgeted callers snapshot it before a unit
-/// of work and compare deltas afterwards.
-pub fn cube_work() -> u64 {
-    CUBE_WORK.with(|w| w.get())
-}
-
-pub(crate) fn record_cubes(count: u64) {
-    CUBE_WORK.with(|w| w.set(w.get().wrapping_add(count)));
-}
+/// Satisfiability-search nodes visited on this thread: the root of each walk
+/// of the [`sat`] search and each alternative it tried (see
+/// [`tnt_solver::work`]). A node is one partial conjunction, the logic layer's
+/// exponential core, so the count is the formula-manipulation half of the
+/// work budget.
+pub use tnt_solver::work::nodes as cube_work;
 
 /// Rebuilds a formula from a DNF cube list (used by the simplifier and the projection).
 pub fn from_dnf(cubes: &[Cube]) -> Formula {

@@ -185,25 +185,6 @@ impl Formula {
         self.substitute(from, &Lin::var(to))
     }
 
-    /// Renames free variables according to the map.
-    pub fn rename_all(&self, map: &BTreeMap<String, String>) -> Formula {
-        // Two passes through fresh intermediates to avoid clashes when the map swaps names.
-        let mut current = self.clone();
-        let intermediates: Vec<(String, String)> = map
-            .keys()
-            .enumerate()
-            .map(|(i, k)| (k.clone(), format!("$tmp{i}")))
-            .collect();
-        for (from, tmp) in &intermediates {
-            current = current.rename(from, tmp);
-        }
-        for ((from, tmp), _) in intermediates.iter().zip(map.keys()) {
-            let to = &map[from];
-            current = current.rename(tmp, to);
-        }
-        current
-    }
-
     /// Evaluates the formula under a total integer assignment (missing variables are 0).
     ///
     /// Existential quantifiers are evaluated by a small bounded search over the range
@@ -353,24 +334,6 @@ mod tests {
                 Lin::zero(),
             ))
         );
-    }
-
-    #[test]
-    fn rename_all_swaps_safely() {
-        let f: Formula = Constraint::ge(Lin::var("x"), Lin::var("y")).into();
-        let map: BTreeMap<String, String> = [
-            ("x".to_string(), "y".to_string()),
-            ("y".to_string(), "x".to_string()),
-        ]
-        .into_iter()
-        .collect();
-        let swapped = f.rename_all(&map);
-        // x >= y becomes y >= x
-        let mut env = BTreeMap::new();
-        env.insert("x".to_string(), 1);
-        env.insert("y".to_string(), 2);
-        assert!(!f.eval(&env, 4));
-        assert!(swapped.eval(&env, 4));
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! never pivots. Positive quantifiers are renamed to fresh variables; negative
 //! ones are eliminated inside [`crate::dnf::to_nnf`].
 //!
-//! Every visited node — the root and each alternative tried — is charged one unit
-//! of [`crate::dnf::cube_work`], and every pivot one unit of
-//! `tnt_solver::simplex::pivot_work`. A walk that would visit more than the cube
-//! cap's nodes stops and records a cap event: the first-cube walk then answers
+//! Every visited node — the root and each alternative tried — and every pivot
+//! is one unit of work on the [`tnt_solver::work`] meter (a walk charges its
+//! nodes when it ends). A walk that would visit more than the cube cap's nodes
+//! stops and records a cap event: the first-cube walk then answers
 //! "satisfiable", and a collecting walk returns nothing.
 //!
 //! The feasibility check is a relaxation: a cube that is rationally feasible but
@@ -36,7 +36,7 @@ use crate::constraint::{integer_form, Constraint, RelOp};
 use crate::dnf::{self, Cube};
 use crate::formula::Formula;
 use tnt_solver::bounded::{BoundedSimplex, Checkpoint};
-use tnt_solver::Rational;
+use tnt_solver::{work, Rational};
 
 /// Checks satisfiability of a single cube (conjunction of constraints); `≠` atoms
 /// are split by the same search [`is_sat`] runs.
@@ -80,9 +80,9 @@ pub(crate) fn cubes(formula: &Formula, walk: Walk) -> Option<Vec<Cube>> {
 /// the disjunction of its two strict cases. `None` when a conversion inside
 /// [`dnf::to_nnf`] stopped at the cube cap.
 fn open(formula: &Formula, split_ne: bool) -> Option<Formula> {
-    let capped_before = dnf::cap_events();
+    let capped_before = work::cap_events();
     let nnf = dnf::to_nnf(formula);
-    (dnf::cap_events() == capped_before).then(|| open_nnf(nnf, split_ne))
+    (work::cap_events() == capped_before).then(|| open_nnf(nnf, split_ne))
 }
 
 fn open_nnf(nnf: Formula, split_ne: bool) -> Formula {
@@ -225,7 +225,7 @@ impl<'f> Search<'f> {
                 }
                 nodes += 1;
                 if nodes > dnf::CUBE_CAP {
-                    dnf::record_cap_event();
+                    work::record_cap_event();
                     break 'search None;
                 }
                 // The alternative comes first; the shared conjuncts follow
@@ -236,7 +236,7 @@ impl<'f> Search<'f> {
                 break;
             }
         };
-        dnf::record_cubes(nodes);
+        work::record_nodes(nodes);
         answer
     }
 
@@ -612,9 +612,30 @@ mod tests {
             Constraint::le(Lin::var("x"), n(-1)).into(),
         ]));
         let f = Formula::and(parts);
-        let capped = crate::dnf::cap_events();
+        let capped = work::cap_events();
         assert!(is_sat(&f), "capped search over-approximates");
-        assert_eq!(crate::dnf::cap_events(), capped + 1);
+        assert_eq!(work::cap_events(), capped + 1);
+    }
+
+    /// The work deadline meters search nodes as well as pivots: a first-cube
+    /// walk of fifteen nodes over bounds on one variable, which never pivots,
+    /// passes a budget of ten.
+    #[test]
+    fn a_walk_without_pivots_passes_the_deadline_on_its_nodes() {
+        let mut alternatives: Vec<Formula> = (1..=13)
+            .map(|k| Constraint::ge(Lin::var("x"), n(k)).into())
+            .collect();
+        alternatives.push(Constraint::le(Lin::var("x"), n(0)).into());
+        let f = Formula::and(vec![
+            Constraint::eq(Lin::var("x"), n(0)).into(),
+            Formula::or(alternatives),
+        ]);
+        let _budget = work::Budget::new(10);
+        let (pivots, nodes) = (work::pivots(), work::nodes());
+        assert!(is_sat(&f));
+        assert_eq!(work::pivots(), pivots, "bounds alone never pivot");
+        assert_eq!(work::nodes() - nodes, 15, "the root and each alternative");
+        assert!(work::deadline_exceeded());
     }
 
     /// DNF preserves satisfiability witnesses.

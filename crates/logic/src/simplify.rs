@@ -10,7 +10,6 @@
 //!   the final summaries look like the paper's (`x ≥ 0 ∧ y < 0` rather than a pile of
 //!   rewriting residue).
 
-use crate::constraint::Constraint;
 use crate::dnf::{self, Cube};
 use crate::entail;
 use crate::formula::Formula;
@@ -103,8 +102,8 @@ fn prune_cube(cube: &Cube) -> Cube {
 /// result becomes `True`. Each of these steps keeps the formula equivalent, and no
 /// check of the result against the input runs. When the walk stops at the cube
 /// cap, `prune` returns its structurally simplified input instead, still
-/// equivalent but unpruned, and the stop is visible as a [`dnf::cap_events`]
-/// increment.
+/// equivalent but unpruned, and the stop is visible as a
+/// [`tnt_solver::work::cap_events`] increment.
 pub fn prune(formula: &Formula) -> Formula {
     let simplified = simplify(formula);
     if simplified.is_true() || simplified.is_false() {
@@ -142,29 +141,10 @@ pub fn prune(formula: &Formula) -> Formula {
     }
 }
 
-/// Returns `Some(constraints)` when the formula is a plain conjunction of atoms
-/// (after simplification), which is how most inferred guards look.
-pub fn as_conjunction(formula: &Formula) -> Option<Vec<Constraint>> {
-    match simplify(formula) {
-        Formula::True => Some(Vec::new()),
-        Formula::Atom(c) => Some(vec![c]),
-        Formula::And(parts) => {
-            let mut out = Vec::new();
-            for p in parts {
-                match p {
-                    Formula::Atom(c) => out.push(c),
-                    _ => return None,
-                }
-            }
-            Some(out)
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::Constraint;
     use crate::entail::equivalent;
     use tnt_solver::{Lin, Rational};
 
@@ -242,17 +222,6 @@ mod tests {
         assert_eq!(prune(&f), Formula::False);
     }
 
-    #[test]
-    fn as_conjunction_shapes() {
-        assert_eq!(as_conjunction(&Formula::True), Some(vec![]));
-        assert_eq!(as_conjunction(&x_ge(0)).map(|v| v.len()), Some(1));
-        assert_eq!(
-            as_conjunction(&Formula::and(vec![x_ge(0), x_ge(2)])).map(|v| v.len()),
-            Some(2)
-        );
-        assert_eq!(as_conjunction(&Formula::or(vec![x_ge(0), x_ge(2)])), None);
-    }
-
     /// `⋀_{i<15} yᵢ ≠ 0`: 2^15 satisfiable cubes, past the cube cap.
     fn fifteen_disequalities() -> Formula {
         Formula::and(
@@ -267,9 +236,13 @@ mod tests {
     #[test]
     fn prune_past_the_cube_cap_returns_its_input() {
         let f = fifteen_disequalities();
-        let capped = dnf::cap_events();
+        let capped = tnt_solver::work::cap_events();
         let pruned = prune(&f);
-        assert_eq!(dnf::cap_events(), capped + 1, "one walk stops at the cap");
+        assert_eq!(
+            tnt_solver::work::cap_events(),
+            capped + 1,
+            "one walk stops at the cap"
+        );
         assert_eq!(pruned, simplify(&f));
         for zero_at in [None, Some(0), Some(7), Some(14)] {
             let env = (0..15)

@@ -20,10 +20,10 @@
 //! next check starts from the tableau and values the last one left.
 //!
 //! Feasibility is over the rationals, with exact arithmetic. Every pivot is
-//! charged to [`crate::simplex::pivot_work`], so work budgets and the pivot
-//! deadline meter this kernel as they meter [`crate::simplex::solve`].
+//! charged to the [`crate::work`] meter, so work budgets and the work deadline
+//! meter this kernel as they meter [`crate::simplex::solve`].
 //!
-//! A saturated rational operation (see [`crate::rational::overflow_work`])
+//! A saturated rational operation (see [`crate::work::overflows`])
 //! corrupts the tableau, and Bland's rule no longer guarantees termination
 //! on corrupted numbers. So once any operation on the thread has saturated
 //! since the kernel was made, [`BoundedSimplex::check`] stops pivoting and
@@ -31,8 +31,8 @@
 //! "not entailed" answer for an entailment. The analyzer has by then marked
 //! the whole result as poisoned.
 
-use crate::rational::{overflow_work, Rational};
-use crate::simplex::record_pivot;
+use crate::rational::Rational;
+use crate::work::{overflows, record_pivot};
 
 /// Marks a variable that is not basic in any row.
 const NON_BASIC: usize = usize::MAX;
@@ -89,7 +89,7 @@ pub struct BoundedSimplex {
     /// positive coefficient. Scanned linearly: a query names a handful of
     /// forms, where hashing cost more than the scans.
     slacks: Vec<(Vec<(usize, Rational)>, usize)>,
-    /// [`overflow_work`] when the kernel was made.
+    /// [`overflows`] when the kernel was made.
     overflows: u64,
 }
 
@@ -120,7 +120,7 @@ impl BoundedSimplex {
             trail: Vec::new(),
             scratch: Vec::new(),
             slacks: Vec::new(),
-            overflows: overflow_work(),
+            overflows: overflows(),
         }
     }
 
@@ -277,7 +277,7 @@ impl BoundedSimplex {
     /// saturated (see the module docs).
     pub fn check(&mut self) -> bool {
         loop {
-            if overflow_work() != self.overflows {
+            if overflows() != self.overflows {
                 return true;
             }
             // Bland's rule: the smallest basic variable out of its bounds leaves.

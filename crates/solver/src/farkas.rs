@@ -116,11 +116,6 @@ impl TemplateLin {
         &self.constant
     }
 
-    /// Sets the coefficient of a program variable.
-    pub fn set_coeff(&mut self, var: impl Into<String>, coeff: Lin) {
-        self.coeffs.insert(var.into(), coeff);
-    }
-
     /// Sets the constant part.
     pub fn set_constant(&mut self, constant: Lin) {
         self.constant = constant;
@@ -670,9 +665,7 @@ mod tests {
 
     #[test]
     fn rename_program_vars_merges() {
-        let mut t = TemplateLin::zero();
-        t.set_coeff("x", Lin::var("a"));
-        t.set_coeff("y", Lin::var("b"));
+        let t = TemplateLin::template("r", &["x".to_string(), "y".to_string()]);
         let map: BTreeMap<String, String> = [
             ("x".to_string(), "z".to_string()),
             ("y".to_string(), "z".to_string()),
@@ -681,7 +674,7 @@ mod tests {
         .collect();
         let renamed = t.rename_program_vars(&map);
         let coeff = renamed.coeff("z");
-        assert_eq!(coeff.coeff("a"), Rational::one());
-        assert_eq!(coeff.coeff("b"), Rational::one());
+        assert_eq!(coeff.coeff("r$x"), Rational::one());
+        assert_eq!(coeff.coeff("r$y"), Rational::one());
     }
 }

@@ -84,7 +84,7 @@ pub fn synthesize_lexicographic_mixed(
     let mut components: Vec<Component> = Vec::new();
 
     while !remaining.is_empty() {
-        if components.len() >= max_components || crate::simplex::deadline_exceeded() {
+        if components.len() >= max_components || crate::work::deadline_exceeded() {
             return None;
         }
         // One LP finds an affine component that is bounded and non-increasing on
@@ -106,7 +106,7 @@ pub fn synthesize_lexicographic_mixed(
         }
         let mut progressed = false;
         for candidate in multiphase::max_component_candidates(system) {
-            if crate::simplex::deadline_exceeded() {
+            if crate::work::deadline_exceeded() {
                 return None;
             }
             if !remaining

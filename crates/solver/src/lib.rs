@@ -41,6 +41,9 @@
 //!   synthesis: multi-step concrete orbit simulation of a single-node system
 //!   from seeded valuations, collecting sign atoms, pairwise differences and
 //!   fitted affine combinations that hold along every sampled divergent orbit.
+//! * [`work`] — the per-thread work meter: pivots, satisfiability-search nodes,
+//!   cap events and saturated rational operations, and the work deadline set by
+//!   a scoped [`work::Budget`] in the same unit.
 //!
 //! The crate is independent of the logic front-end: variables are plain strings and
 //! constraints are affine expressions in `≥ 0` normal form ([`linear::Ineq`]).
@@ -83,6 +86,7 @@ pub mod simplex;
 pub mod system;
 #[cfg(test)]
 mod testgen;
+pub mod work;
 
 pub use linear::{Ineq, Lin};
 pub use lp::{LpProblem, LpSolution, LpStatus};

@@ -119,7 +119,7 @@ pub fn synthesize_multiphase(
         return None; // the plain synthesis already covers the vacuous case
     }
     for depth in 2..=max_depth {
-        if crate::simplex::deadline_exceeded() {
+        if crate::work::deadline_exceeded() {
             return None;
         }
         if let Some(measure) = synthesize_depth(system, depth) {

@@ -9,34 +9,24 @@
 //!
 //! Arithmetic that would overflow `i128` does **not** panic (a single adversarial
 //! large-coefficient program must not abort a whole analysis run). Instead the
-//! operation *saturates* to a sign-correct sentinel and bumps the monotone
-//! per-thread [`overflow_work`] counter. Saturated values are numerically wrong, so
-//! every consumer that could turn them into a verdict must check the counter: the
-//! analyzer snapshots it around each program and degrades the whole result to the
-//! inconclusive budget-exhausted outcome (`MayLoop` / T-O) when it moved — sound,
-//! deterministic, and no worse than the paper's own T/O column.
+//! operation *saturates* to a sign-correct sentinel and bumps the per-thread
+//! [`overflow_work`] counter of [`crate::work`]. Saturated values are
+//! numerically wrong, so every consumer that could turn them into a verdict must
+//! check the counter: the analyzer snapshots it around each program and degrades
+//! the whole result to the inconclusive budget-exhausted outcome (`MayLoop` /
+//! T-O) when it moved — sound, deterministic, and no worse than the paper's own
+//! T/O column.
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-thread_local! {
-    static OVERFLOW_WORK: Cell<u64> = const { Cell::new(0) };
-}
+use crate::work::record_overflow;
 
-/// Monotone per-thread count of saturated (overflowed) rational operations.
-///
-/// Callers that must not trust results computed through saturation snapshot this
-/// before a unit of work and compare afterwards, exactly like
-/// [`crate::simplex::pivot_work`].
-pub fn overflow_work() -> u64 {
-    OVERFLOW_WORK.with(|w| w.get())
-}
-
-fn record_overflow() {
-    OVERFLOW_WORK.with(|w| w.set(w.get().wrapping_add(1)));
-}
+/// Saturated (overflowed) rational operations on this thread (see
+/// [`crate::work`]). Callers that must not trust results computed through
+/// saturation snapshot it before a unit of work and compare afterwards.
+pub use crate::work::overflows as overflow_work;
 
 /// Saturation sentinel: large enough to dominate ordinary coefficients, small
 /// enough that sums and modest scalings of sentinels do not immediately re-overflow.

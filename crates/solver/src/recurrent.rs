@@ -28,7 +28,6 @@ use crate::farkas;
 use crate::linear::{Ineq, Lin};
 use crate::lp::{LpProblem, VarKind};
 use crate::rational::Rational;
-use crate::simplex;
 use crate::system::{NodeId, Transition, TransitionSystem};
 use std::collections::BTreeMap;
 
@@ -131,7 +130,7 @@ pub fn synthesize_ranked(
     let mut chain: Vec<Vec<Ineq>> = vec![greatest.clone()];
     let mut current = greatest;
     while current.len() > 1 {
-        if simplex::deadline_exceeded() {
+        if crate::work::deadline_exceeded() {
             break;
         }
         let mut successors: Vec<Vec<Ineq>> = Vec::new();
@@ -245,7 +244,7 @@ fn greatest_inductive_subset(
     // Houdini: shrink to the greatest inductive subset, certifying closure
     // per transition via Farkas' lemma.
     loop {
-        if atoms.is_empty() || simplex::deadline_exceeded() {
+        if atoms.is_empty() || crate::work::deadline_exceeded() {
             return None;
         }
         match first_escaping(system, &atoms) {

@@ -18,40 +18,11 @@
 //! thousand rows stay under one percent dense.
 
 use crate::rational::Rational;
-use std::cell::Cell;
+use crate::work::record_pivot;
 
-thread_local! {
-    static PIVOT_WORK: Cell<u64> = const { Cell::new(0) };
-    static WORK_DEADLINE: Cell<u64> = const { Cell::new(u64::MAX) };
-}
-
-/// Monotone per-thread count of simplex pivots performed since thread start.
-///
-/// Callers that need a deterministic work budget (the analyzer's "timeout"
-/// emulation — the paper's T/O column counts exhausted budgets, not wall-clock
-/// races) snapshot this before a unit of work and compare deltas afterwards.
-pub fn pivot_work() -> u64 {
-    PIVOT_WORK.with(|w| w.get())
-}
-
-pub(crate) fn record_pivot() {
-    PIVOT_WORK.with(|w| w.set(w.get().wrapping_add(1)));
-}
-
-/// Sets the per-thread work deadline (an absolute [`pivot_work`] value) and
-/// returns the previous one. Long-running synthesis loops such as
-/// [`crate::lexicographic`] stop *between* LP solves once the deadline has
-/// passed; an individual solve always runs to completion, so LP answers are
-/// never truncated.
-pub fn set_work_deadline(deadline: u64) -> u64 {
-    WORK_DEADLINE.with(|d| d.replace(deadline))
-}
-
-/// Returns `true` once [`pivot_work`] has passed the deadline set by
-/// [`set_work_deadline`].
-pub fn deadline_exceeded() -> bool {
-    WORK_DEADLINE.with(|d| PIVOT_WORK.with(|w| w.get()) > d.get())
-}
+/// Simplex pivots performed on this thread, of this module and of
+/// [`crate::bounded`] (see [`crate::work`]).
+pub use crate::work::pivots as pivot_work;
 
 /// Comparison operator of a standard-form constraint row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

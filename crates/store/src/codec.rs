@@ -242,7 +242,6 @@ pub fn encode_method_record(record: &MethodRecord) -> Vec<u8> {
             put_status(&mut out, outcome);
         }
         put_u64(&mut out, event.work);
-        put_u64(&mut out, event.pivots);
         put_u64(&mut out, event.ranking_attempts as u64);
         put_u64(&mut out, event.nonterm_attempts as u64);
     }
@@ -462,7 +461,6 @@ impl<'a> Reader<'a> {
             members,
             outcomes,
             work: self.u64()?,
-            pivots: self.u64()?,
             ranking_attempts: self.u64()? as usize,
             nonterm_attempts: self.u64()? as usize,
         })
@@ -748,7 +746,6 @@ mod tests {
                         ("Upr_odd#0".to_string(), 0, CaseStatus::Loop),
                     ],
                     work: 1234,
-                    pivots: 567,
                     ranking_attempts: 4,
                     nonterm_attempts: 2,
                 },
@@ -756,7 +753,6 @@ mod tests {
                     members: vec![("Upr_even#0".to_string(), 0)],
                     outcomes: vec![("Upr_even#0".to_string(), 0, CaseStatus::Term(vec![]))],
                     work: 0,
-                    pivots: 0,
                     ranking_attempts: 0,
                     nonterm_attempts: 0,
                 },

@@ -10,7 +10,7 @@
 //! single log, `summaries.tnt`:
 //!
 //! ```text
-//! header   "TNTSUM03"                                  (8 bytes)
+//! header   "TNTSUM04"                                  (8 bytes)
 //! record   "TR" ++ len:u32le ++ payload ++ fnv1a64(payload):u64le
 //! payload  key:16B ++ fingerprint_hash:u64le ++ encoded AnalysisResult
 //! method   "MR" ++ len:u32le ++ payload ++ fnv1a64(payload):u64le
@@ -60,8 +60,10 @@ pub const STORE_FILE: &str = "summaries.tnt";
 
 /// File magic: format name + version. Bump on any layout change.
 /// (02: `SolveStats` gained the orbit-enrichment attempt/work counters.
-/// 03: tagged `MR` method-tier records alongside `TR` program records.)
-pub const HEADER: &[u8; 8] = b"TNTSUM03";
+/// 03: tagged `MR` method-tier records alongside `TR` program records.
+/// 04: `MR` events lost their separate pivot count; their work is the one
+/// unit the budget and the deadline share.)
+pub const HEADER: &[u8; 8] = b"TNTSUM04";
 
 /// Per-record frame magic, indexed by record kind: `TR` for program-tier
 /// records ([`PROGRAM`]), `MR` for method-tier records ([`METHOD`]). Both
@@ -761,7 +763,6 @@ mod tests {
                 members: vec![("Upr_leaf#0".to_string(), 1)],
                 outcomes: vec![("Upr_leaf#0".to_string(), 1, CaseStatus::Loop)],
                 work: 42,
-                pivots: 17,
                 ranking_attempts: 3,
                 nonterm_attempts: 1,
             }],
@@ -809,21 +810,23 @@ mod tests {
         let path = store.path().to_path_buf();
         drop(store);
 
-        // Regress the header to the retired 02 layout version.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..8].copy_from_slice(b"TNTSUM02");
-        std::fs::write(&path, &bytes).unwrap();
+        // Regress the header to each retired layout version.
+        for retired in [b"TNTSUM02", b"TNTSUM03"] {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[..8].copy_from_slice(retired);
+            std::fs::write(&path, &bytes).unwrap();
 
-        // Readers and writers alike refuse it like any unknown magic…
-        for opened in [
-            SummaryStore::open_read_only(dir.path()),
-            SummaryStore::open(dir.path()),
-        ] {
-            let message = opened.err().expect("v2 header rejected").to_string();
-            assert!(message.contains("not a summary store"), "{message}");
+            // Readers and writers alike refuse it like any unknown magic…
+            for opened in [
+                SummaryStore::open_read_only(dir.path()),
+                SummaryStore::open(dir.path()),
+            ] {
+                let message = opened.err().expect("retired header rejected").to_string();
+                assert!(message.contains("not a summary store"), "{message}");
+            }
+            // …and neither rewrites a single byte.
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
         }
-        // …and neither rewrites a single byte.
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct ProgramReport {
     /// from a summary-cache tier. Summing a warm pass therefore reflects what
     /// the pass actually cost instead of re-billing the original analyses.
     pub elapsed: f64,
-    /// Deterministic work units spent (simplex pivots + DNF cubes).
+    /// Deterministic work units spent (simplex pivots + satisfiability-search nodes).
     pub work: u64,
     /// Error note when the analysis panicked (isolated per program by the
     /// session); such programs score as [`Outcome::Unknown`] rather than

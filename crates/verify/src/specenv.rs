@@ -45,13 +45,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The unknown pre-predicate instance over the scenario's own variables.
-    pub fn upr_instance(&self) -> Option<PredInstance> {
-        self.upr_name
-            .as_ref()
-            .map(|name| PredInstance::new(name.clone(), self.vars.iter().map(Lin::var).collect()))
-    }
-
     /// The unknown post-predicate instance over the scenario's own variables.
     pub fn upo_instance(&self) -> Option<PredInstance> {
         self.upo_name
@@ -271,7 +264,6 @@ mod tests {
         assert!(s.temporal.is_unknown());
         assert_eq!(s.vars, vec!["x".to_string(), "y".to_string()]);
         assert_eq!(s.upr_name.as_deref(), Some("Upr_foo#0"));
-        assert_eq!(s.upr_instance().unwrap().to_string(), "Upr_foo#0(x, y)");
     }
 
     #[test]

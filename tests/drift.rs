@@ -232,11 +232,11 @@ fn the_cube_cap_bites_only_in_the_coupled_members() {
         ]
     });
     for (program, expected) in instances {
-        let before = hiptnt::logic::dnf::cap_events();
+        let before = hiptnt::solver::work::cap_events();
         hiptnt::infer::analyze_source(&program.source, &InferOptions::default())
             .expect("analysis succeeds");
         assert_eq!(
-            hiptnt::logic::dnf::cap_events() - before,
+            hiptnt::solver::work::cap_events() - before,
             expected,
             "{}: cap events",
             program.name

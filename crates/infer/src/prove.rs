@@ -631,9 +631,10 @@ pub fn prove_nonterm_recurrent(
                     .collect()
             })
             .collect();
+    let stepper = recurrent::Stepper::new(&system);
     if pool == Pool::Orbit {
         let mut enriched = false;
-        for atom in tnt_solver::orbit::harvest(&system, &samples, ORBIT_STEPS) {
+        for atom in tnt_solver::orbit::harvest(&stepper, &samples, ORBIT_STEPS) {
             if over_formals(&atom) && !candidates.contains(&atom) {
                 candidates.push(atom);
                 enriched = true;
@@ -650,8 +651,8 @@ pub fn prove_nonterm_recurrent(
     // the coverage checks below, and the next certified set takes its place.
     // This is the region scoring that keeps enriched atoms from carving a
     // needlessly small slab when a larger certified region also works.
-    for set in recurrent::synthesize_ranked(&system, &candidates, &samples) {
-        if !recurrent::closed_on_samples(&system, &set, &samples) {
+    for set in recurrent::synthesize_ranked(&stepper, &candidates, &samples) {
+        if !recurrent::closed_on_samples(&stepper, &set, &samples) {
             continue;
         }
         // Exit coverage: under `S`, the case's post-predicate must be

@@ -14,6 +14,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+use tnt_solver::rational::gcd;
 use tnt_solver::{Ineq, Lin, Rational};
 
 /// Canonical relational operator of a [`Constraint`] (always compared against zero).
@@ -269,16 +270,6 @@ pub(crate) fn integer_form<T>(
 /// The lcm of the denominators of `values`.
 fn denominator_lcm(values: impl Iterator<Item = Rational>) -> i128 {
     values.fold(1, |l, v| lcm(l, v.denom()))
-}
-
-fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 fn lcm(a: i128, b: i128) -> i128 {

@@ -361,6 +361,23 @@ mod tests {
         assert!(!is_sat(&Constraint::ge(n(-1), n(0)).into()));
     }
 
+    /// `2x − (2¹²⁷ − 1) ≥ 0` normalises to `x − 2¹²⁶ ≥ 0`, the floor of
+    /// `−(2¹²⁷ − 1)/2`. The old floor wrapped at the `i128` boundary and gave
+    /// `x + 2¹²⁶ ≥ 0`, so `x ≤ 0` was wrongly found consistent with it.
+    #[test]
+    fn near_i128_constant_is_rounded_down_exactly() {
+        let wide = Constraint::ge(Lin::var("x").scale(Rational::from(2)), n(i128::MAX));
+        assert_eq!(
+            wide.normalise(),
+            Some(Constraint::ge(Lin::var("x"), n(1 << 126)))
+        );
+        let f = Formula::and(vec![
+            wide.into(),
+            Constraint::le(Lin::var("x"), n(0)).into(),
+        ]);
+        assert!(!is_sat(&f));
+    }
+
     #[test]
     fn conflicting_bounds() {
         let f = Formula::and(vec![

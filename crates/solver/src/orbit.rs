@@ -8,8 +8,9 @@
 //! concrete orbits from sampled valuations and harvest, as candidate
 //! half-spaces, the inequalities that hold along every orbit that keeps
 //! running. This module implements that harvest over the same single-node
-//! [`TransitionSystem`] the recurrent-set synthesis consumes, so the enriched
-//! pass plugs in where the guard-atom pass already runs.
+//! transition system the recurrent-set synthesis consumes, stepped by the
+//! same [`Stepper`], so the enriched pass plugs in where the guard-atom pass
+//! already runs.
 //!
 //! Three candidate sources are harvested from the sampled divergent orbits
 //! (deterministically — the orbits come from seeded valuations and the
@@ -34,16 +35,16 @@
 
 use crate::linear::{Ineq, Lin};
 use crate::rational::Rational;
-use crate::recurrent::{concrete_step, loop_formals};
-use crate::system::TransitionSystem;
+use crate::recurrent::{loop_formals, Stepper};
 use std::collections::BTreeMap;
 
 /// One concrete state of an orbit (a valuation of the loop's formals).
 type State = BTreeMap<String, Rational>;
 
-/// Simulates multi-step orbits of a single-node `system` from the given start
-/// states and harvests candidate half-spaces from the orbits that survive all
-/// `steps` steps (see the module docs for the three candidate sources).
+/// Simulates multi-step orbits of the single-node system behind `stepper`
+/// from the given start states and harvests candidate half-spaces from the
+/// orbits that survive all `steps` steps (see the module docs for the three
+/// candidate sources).
 ///
 /// A step takes the first enabled transition in system order, which keeps
 /// the simulation deterministic for nondeterministic scenarios. Orbits whose
@@ -51,13 +52,13 @@ type State = BTreeMap<String, Rational>;
 /// when *no* orbit survives, or the system has more than one node, the
 /// harvest is empty and the caller falls back to the guard-atom pool
 /// unchanged.
-pub fn harvest(system: &TransitionSystem, samples: &[State], steps: usize) -> Vec<Ineq> {
-    let Some(vars) = loop_formals(system) else {
+pub fn harvest(stepper: &Stepper, samples: &[State], steps: usize) -> Vec<Ineq> {
+    let Some(vars) = loop_formals(stepper.system()) else {
         return Vec::new();
     };
     let tails: Vec<Vec<State>> = samples
         .iter()
-        .filter_map(|start| divergent_tail(system, start, steps))
+        .filter_map(|start| divergent_tail(stepper, start, steps))
         .collect();
     if tails.is_empty() {
         return Vec::new();
@@ -107,14 +108,11 @@ pub fn harvest(system: &TransitionSystem, samples: &[State], steps: usize) -> Ve
 
 /// Runs one orbit for `steps` steps and returns its tail (the states from
 /// index `steps / 2` on) when it survives the full horizon, `None` otherwise.
-fn divergent_tail(system: &TransitionSystem, start: &State, steps: usize) -> Option<Vec<State>> {
+fn divergent_tail(stepper: &Stepper, start: &State, steps: usize) -> Option<Vec<State>> {
     let mut orbit: Vec<State> = vec![start.clone()];
     let mut current = start.clone();
     for _ in 0..steps {
-        let next = system
-            .transitions()
-            .iter()
-            .find_map(|t| concrete_step(system, t, &current))?;
+        let next = stepper.successors(&current).next()?;
         orbit.push(next.clone());
         current = next;
     }
@@ -175,7 +173,7 @@ fn fitted_combination(tails: &[Vec<State>], v: &str, w: &str) -> Vec<Ineq> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::Transition;
+    use crate::system::{Transition, TransitionSystem};
 
     fn r(n: i128) -> Rational {
         Rational::from(n)
@@ -222,7 +220,7 @@ mod tests {
             env(&[("x", 1), ("y", -20)]), // dies: x goes negative immediately
             env(&[("x", -4), ("y", 9)]),  // dies: guard fails at the start
         ];
-        let harvested = harvest(&p, &samples, 12);
+        let harvested = harvest(&Stepper::new(&p), &samples, 12);
         assert!(
             harvested.contains(&Ineq::ge_zero(Lin::var("y"))),
             "y >= 0 must be harvested from the surviving orbits: {harvested:?}"
@@ -237,7 +235,7 @@ mod tests {
         // would lose y >= 0; the tail restriction keeps it.
         let p = additive_drift();
         let samples = vec![env(&[("x", 12), ("y", -2)])];
-        let harvested = harvest(&p, &samples, 12);
+        let harvested = harvest(&Stepper::new(&p), &samples, 12);
         assert!(
             harvested.contains(&Ineq::ge_zero(Lin::var("y"))),
             "tail harvest must survive the negative-y prefix: {harvested:?}"
@@ -248,7 +246,7 @@ mod tests {
     fn no_surviving_orbit_harvests_nothing() {
         let p = additive_drift();
         let samples = vec![env(&[("x", -1), ("y", -1)])];
-        assert!(harvest(&p, &samples, 12).is_empty());
+        assert!(harvest(&Stepper::new(&p), &samples, 12).is_empty());
     }
 
     #[test]
@@ -269,7 +267,7 @@ mod tests {
             env(&[("x", 50), ("y", 5), ("z", -2)]),   // tail: y < 0, z > 0
             env(&[("x", 50), ("y", 40), ("z", -37)]), // tail: y > 0, z < 0
         ];
-        let harvested = harvest(&p, &samples, 12);
+        let harvested = harvest(&Stepper::new(&p), &samples, 12);
         let sum = Lin::var("y").add(&Lin::var("z"));
         assert!(
             harvested.contains(&Ineq::ge_zero(sum.clone())),
@@ -303,7 +301,7 @@ mod tests {
             vec![Lin::var("x").add_const(r(1)), Lin::var("y").add_const(r(1))],
         );
         let samples = vec![env(&[("x", 0), ("y", 5)]), env(&[("x", 2), ("y", 0)])];
-        let harvested = harvest(&p, &samples, 8);
+        let harvested = harvest(&Stepper::new(&p), &samples, 8);
         // λ fits to 1, the conserved x − y ∈ {−5, 2} is emitted with bounds.
         let conserved_lo = Ineq::ge_zero(Lin::var("x").sub(&Lin::var("y")).add_const(r(5)));
         let conserved_hi = Ineq::ge_zero(Lin::var("y").sub(&Lin::var("x")).add_const(r(2)));
@@ -317,6 +315,9 @@ mod tests {
     fn harvest_is_deterministic() {
         let p = additive_drift();
         let samples = vec![env(&[("x", 3), ("y", 2)]), env(&[("x", 12), ("y", -2)])];
-        assert_eq!(harvest(&p, &samples, 12), harvest(&p, &samples, 12));
+        assert_eq!(
+            harvest(&Stepper::new(&p), &samples, 12),
+            harvest(&Stepper::new(&p), &samples, 12)
+        );
     }
 }

@@ -5,6 +5,29 @@
 //! keep coefficients small, so `i128` numerators/denominators with eager normalisation
 //! are more than sufficient.
 //!
+//! # Two tiers
+//!
+//! Addition and multiplication (and so subtraction and division, which go
+//! through them) run on one of two tiers:
+//!
+//! - **Machine words.** When all four fields of the two operands satisfy
+//!   `|x| ≤ i64::MAX`, the operation runs on 64-bit halves: binary `u64`
+//!   gcds, hardware 64-bit division, and products widened to `i128`. A sum
+//!   is Knuth's gcd-reduced one (TAOCP vol. 2, §4.5.1): with `g = gcd(b, d)`,
+//!   `a/b + c/d` is `(a·d + c·b)/(b·d)` in lowest terms when `g = 1`, and
+//!   otherwise `(t/g₂)/((b/g)·(d/g₂))` with `t = a·(d/g) + c·(b/g)` and
+//!   `g₂ = gcd(t mod g, g)`. A product cancels the cross factors
+//!   `gcd(|a|, d)` and `gcd(|c|, b)`. A gcd with an operand of 1 is skipped.
+//!   `i64::MIN` stays out of the tier, so a negation never leaves it.
+//! - **General.** Everything else runs on `i128` with checked operations
+//!   and saturates on overflow (below). Integer operands of any size take a
+//!   single checked `i128` operation first.
+//!
+//! Canonical form is unique, so both tiers give bit-identical values. A
+//! product of two 64-bit halves cannot overflow `i128`, so no operation on
+//! the machine-word tier could have saturated on the general one, and the
+//! overflow accounting is the same whichever tier runs.
+//!
 //! # Overflow
 //!
 //! Arithmetic that would overflow `i128` does **not** panic (a single adversarial
@@ -174,8 +197,8 @@ fn div_to_f64(n: u128, d: u128) -> f64 {
 }
 
 /// Greatest common divisor of the magnitudes: a binary (Stein) gcd on `u64`
-/// when both fit, Euclid on `u128` otherwise.
-fn gcd(a: i128, b: i128) -> i128 {
+/// when both fit, Euclid on `u128` otherwise. `gcd(0, 0)` is 0.
+pub fn gcd(a: i128, b: i128) -> i128 {
     let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
     match (u64::try_from(a), u64::try_from(b)) {
         (Ok(a), Ok(b)) => binary_gcd(a, b) as i128,
@@ -206,6 +229,74 @@ fn euclid_gcd(mut a: u128, mut b: u128) -> u128 {
         (a, b) = (b, a % b);
     }
     a
+}
+
+/// `x` as a machine word when `|x| ≤ i64::MAX` (so `i64::MIN` is left out).
+fn word(x: i128) -> Option<i64> {
+    i64::try_from(x).ok().filter(|&w| w != i64::MIN)
+}
+
+/// `gcd(a, b)` of two machine-word magnitudes, skipped when either is 1.
+fn word_gcd(a: u64, b: u64) -> u64 {
+    if a == 1 || b == 1 {
+        1
+    } else {
+        binary_gcd(a, b)
+    }
+}
+
+/// `x / d` for a divisor `d ≥ 1` that divides `x`: hardware 64-bit division
+/// when `x` fits a word, and no division at all when `d` is 1.
+fn div_exact(x: i128, d: u64) -> i128 {
+    if d == 1 {
+        return x;
+    }
+    match i64::try_from(x) {
+        Ok(x) => (x / d as i64) as i128,
+        Err(_) => x / d as i128,
+    }
+}
+
+/// `|x| mod d` for `d ≥ 1`, with hardware 64-bit division when `x` fits.
+fn rem_magnitude(x: i128, d: u64) -> u64 {
+    let x = x.unsigned_abs();
+    match u64::try_from(x) {
+        Ok(x) => x % d,
+        Err(_) => (x % d as u128) as u64,
+    }
+}
+
+/// `a/b + c/d` on the machine-word tier (`b, d ≥ 1`, all magnitudes at
+/// most `i64::MAX`), by Knuth's gcd-reduced method; see the module docs.
+fn add_words(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    let (a, c) = (a as i128, c as i128);
+    let (b, d) = (b as u64, d as u64);
+    let g = word_gcd(b, d);
+    if g == 1 {
+        // Coprime denominators: the sum is already in lowest terms.
+        return Rational {
+            num: a * d as i128 + c * b as i128,
+            den: b as i128 * d as i128,
+        };
+    }
+    let (b_g, d_g) = (b / g, d / g);
+    let t = a * d_g as i128 + c * b_g as i128;
+    let g2 = binary_gcd(rem_magnitude(t, g), g);
+    Rational {
+        num: div_exact(t, g2),
+        den: b_g as i128 * (d / g2) as i128,
+    }
+}
+
+/// `a/b · c/d` on the machine-word tier: cancels the cross factors, so the
+/// canonical operands give a canonical product.
+fn mul_words(a: i64, b: i64, c: i64, d: i64) -> Rational {
+    let g1 = word_gcd(a.unsigned_abs(), d as u64);
+    let g2 = word_gcd(c.unsigned_abs(), b as u64);
+    Rational {
+        num: div_exact(a as i128, g1) * div_exact(c as i128, g2),
+        den: div_exact(b as i128, g2) * div_exact(d as i128, g1),
+    }
 }
 
 impl Rational {
@@ -302,18 +393,16 @@ impl Rational {
         }
     }
 
-    /// Floor of the rational as an integer.
+    /// Floor of the rational as an integer (exact for every value: the
+    /// quotient of a positive denominator cannot overflow).
     pub fn floor(&self) -> i128 {
-        if self.num >= 0 {
-            self.num / self.den
-        } else {
-            -((-self.num + self.den - 1) / self.den)
-        }
+        self.num.div_euclid(self.den)
     }
 
     /// Ceiling of the rational as an integer.
     pub fn ceil(&self) -> i128 {
-        -((-*self).floor())
+        // `floor + 1` cannot overflow: a non-integer has `den ≥ 2`.
+        self.floor() + i128::from(self.num.rem_euclid(self.den) != 0)
     }
 
     /// Rounds towards the nearest integer (ties towards +∞).
@@ -345,6 +434,17 @@ impl Rational {
         }
     }
 
+    /// The four fields `(a, b, c, d)` of `a/b` and `c/d` when all of them
+    /// lie on the machine-word tier.
+    fn words(&self, other: &Self) -> Option<(i64, i64, i64, i64)> {
+        Some((
+            word(self.num)?,
+            word(self.den)?,
+            word(other.num)?,
+            word(other.den)?,
+        ))
+    }
+
     fn checked_add(&self, other: &Self) -> Self {
         // Integer fast path. On overflow fall through: the general path below
         // overflows on the same operands and saturates.
@@ -353,6 +453,14 @@ impl Rational {
                 return Rational { num, den: 1 };
             }
         }
+        if let Some((a, b, c, d)) = self.words(other) {
+            return add_words(a, b, c, d);
+        }
+        self.add_general(other)
+    }
+
+    /// `self + other` on the general `i128` tier, saturating on overflow.
+    fn add_general(&self, other: &Self) -> Self {
         let g = gcd(self.den, other.den);
         let lcm_part = other.den / g;
         let exact = (|| {
@@ -383,6 +491,14 @@ impl Rational {
                 return Rational { num, den: 1 };
             }
         }
+        if let Some((a, b, c, d)) = self.words(other) {
+            return mul_words(a, b, c, d);
+        }
+        self.mul_general(other)
+    }
+
+    /// `self · other` on the general `i128` tier, saturating on overflow.
+    fn mul_general(&self, other: &Self) -> Self {
         let g1 = gcd(self.num, other.den);
         let g2 = gcd(other.num, self.den);
         let exact = (|| {
@@ -563,6 +679,27 @@ mod tests {
         assert_eq!(Rational::new(5, 1).ceil(), 5);
         assert_eq!(Rational::new(7, 2).round(), 4);
         assert_eq!(Rational::new(5, 2).round(), 3);
+    }
+
+    #[test]
+    fn floor_and_ceil_are_exact_at_the_i128_boundary() {
+        // -(2^127 - 1)/2 = -2^126 + 1/2. The old `-num + den - 1` wrapped
+        // here and answered +2^126.
+        let half_max = Rational::new(-i128::MAX, 2);
+        assert_eq!(half_max.floor(), -(1i128 << 126));
+        assert_eq!(half_max.ceil(), -(1i128 << 126) + 1);
+        assert_eq!((-half_max).floor(), (1i128 << 126) - 1);
+        assert_eq!((-half_max).ceil(), 1i128 << 126);
+        for extreme in [i128::MIN, i128::MIN + 1, i128::MAX] {
+            assert_eq!(Rational::from(extreme).floor(), extreme);
+            assert_eq!(Rational::from(extreme).ceil(), extreme);
+        }
+        // -2^127/3 lies strictly between two integers.
+        let third = Rational::new(i128::MIN, 3);
+        assert_eq!(third.floor(), i128::MIN / 3 - 1);
+        assert_eq!(third.ceil(), i128::MIN / 3);
+        assert_eq!(Rational::new(i128::MAX, 3).floor(), i128::MAX / 3);
+        assert_eq!(Rational::new(i128::MAX, 3).ceil(), i128::MAX / 3 + 1);
     }
 
     #[test]
@@ -971,6 +1108,72 @@ mod tests {
             let b = Rational::new(rng.gen_range(-1000i128..1000), rng.gen_range(1i128..1000));
             assert_eq!(b / a, b * Rational::new(a.denom(), a.numer()));
         }
+    }
+
+    /// A value that straddles the machine-word tier's edge at `±2⁶³`:
+    /// `i64::MIN`, `i64::MAX` and their neighbours, `2⁶³` itself, 0, ±1,
+    /// small values, or anything on the `i64` line.
+    fn straddling_integer(rng: &mut SmallRng) -> i128 {
+        let edge = i64::MAX as i128;
+        match rng.gen_range(0u32..9) {
+            0 => 0,
+            1 => 1,
+            2 => -1,
+            3 => edge - rng.gen_range(0i128..4),
+            4 => -edge + rng.gen_range(-2i128..4),
+            5 => (edge + 1) * if rng.gen_range(0u32..2) == 0 { 1 } else { -1 },
+            6 => rng.gen_range(-1000i128..1000),
+            _ => rng.gen_range(i64::MIN..=i64::MAX) as i128,
+        }
+    }
+
+    /// A rational whose fields straddle the machine-word tier: numerators
+    /// from [`straddling_integer`], denominators 1, small, up to and just
+    /// past `i64::MAX`.
+    fn straddling_rational(rng: &mut SmallRng) -> Rational {
+        let num = straddling_integer(rng);
+        let den = match rng.gen_range(0u32..6) {
+            0 => 1,
+            1 => rng.gen_range(2i128..1000),
+            2 => i64::MAX as i128 - rng.gen_range(0i128..4),
+            3 => i64::MAX as i128 + 1,
+            _ => rng.gen_range(1i128..=i64::MAX as i128),
+        };
+        Rational::new(num, den)
+    }
+
+    /// Every operator agrees with the general `i128` tier on operands that
+    /// straddle the machine-word tier's edge, and an operation whose four
+    /// fields all lie on the tier never records an overflow.
+    #[test]
+    fn prop_word_tier_agrees_with_the_general_tier() {
+        let mut rng = SmallRng::seed_from_u64(0x4A70C);
+        let (mut on_tier, mut off_tier) = (0, 0);
+        for _ in 0..4096 {
+            let (a, b) = (straddling_rational(&mut rng), straddling_rational(&mut rng));
+            let tier = a.words(&b).is_some();
+            if tier {
+                on_tier += 1;
+            } else {
+                off_tier += 1;
+            }
+            let before = overflow_work();
+            let (sum, difference, product) = (a + b, a - b, a * b);
+            let quotient = (!b.is_zero()).then(|| a / b);
+            if tier {
+                assert_eq!(overflow_work(), before, "{a:?} and {b:?} overflowed");
+            }
+            assert_eq!(sum, a.add_general(&b), "{a:?} + {b:?}");
+            assert_eq!(difference, a.add_general(&-b), "{a:?} - {b:?}");
+            assert_eq!(product, a.mul_general(&b), "{a:?} * {b:?}");
+            if let Some(quotient) = quotient {
+                assert_eq!(quotient, a.mul_general(&b.recip()), "{a:?} / {b:?}");
+            }
+        }
+        assert!(
+            on_tier > 1000 && off_tier > 1000,
+            "{on_tier} on, {off_tier} off"
+        );
     }
 
     /// The whole `i64` line (including the exact extremes) stays within `i128`

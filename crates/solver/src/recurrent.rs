@@ -73,11 +73,11 @@ pub(crate) fn loop_formals(system: &TransitionSystem) -> Option<&[String]> {
 /// enriched candidate pools from carving a needlessly small region out of the
 /// divergent space.
 pub fn synthesize(
-    system: &TransitionSystem,
+    stepper: &Stepper,
     candidates: &[Ineq],
     samples: &[BTreeMap<String, Rational>],
 ) -> Option<RecurrentSet> {
-    synthesize_ranked(system, candidates, samples)
+    synthesize_ranked(stepper, candidates, samples)
         .into_iter()
         .next()
 }
@@ -113,14 +113,15 @@ pub fn synthesize(
 /// list and take the first set that passes; the empty list means no
 /// candidate subset certifies at all.
 pub fn synthesize_ranked(
-    system: &TransitionSystem,
+    stepper: &Stepper,
     candidates: &[Ineq],
     samples: &[BTreeMap<String, Rational>],
 ) -> Vec<RecurrentSet> {
+    let system = stepper.system();
     let Some(vars) = loop_formals(system) else {
         return Vec::new();
     };
-    let Some(greatest) = greatest_inductive_subset(system, vars, candidates, samples) else {
+    let Some(greatest) = greatest_inductive_subset(stepper, vars, candidates, samples) else {
         return Vec::new();
     };
     // Greedy generalization: collect the chain of inductive subsets from
@@ -201,11 +202,12 @@ fn compare_score(
 /// greatest inductive subset of the candidates over `vars`, or `None` when
 /// it is empty (or the work deadline expired).
 fn greatest_inductive_subset(
-    system: &TransitionSystem,
+    stepper: &Stepper,
     vars: &[String],
     candidates: &[Ineq],
     samples: &[BTreeMap<String, Rational>],
 ) -> Option<Vec<Ineq>> {
+    let system = stepper.system();
     if system.transitions().is_empty() {
         return None;
     }
@@ -228,10 +230,7 @@ fn greatest_inductive_subset(
             if !atoms.iter().all(|a| a.holds(sample)) {
                 continue;
             }
-            for transition in system.transitions() {
-                let Some(dst) = concrete_step(system, transition, sample) else {
-                    continue;
-                };
+            for dst in stepper.successors(sample) {
                 let before = atoms.len();
                 atoms.retain(|a| a.holds(&dst));
                 if atoms.len() != before {
@@ -286,21 +285,68 @@ pub fn is_inductive(system: &TransitionSystem, atoms: &[Ineq]) -> bool {
 /// valuations; a sound synthesis can never fail it, so a `false` here
 /// indicates a solver defect and callers must discard the certificate.
 pub fn closed_on_samples(
-    system: &TransitionSystem,
+    stepper: &Stepper,
     set: &RecurrentSet,
     samples: &[BTreeMap<String, Rational>],
 ) -> bool {
     samples.iter().all(|sample| {
-        if !set.contains(sample) {
-            return true;
-        }
-        system.transitions().iter().all(|transition| {
-            match concrete_step(system, transition, sample) {
-                Some(dst) => set.contains(&dst),
-                None => true,
-            }
-        })
+        !set.contains(sample) || stepper.successors(sample).all(|dst| set.contains(&dst))
     })
+}
+
+/// A system's transitions prepared for concrete simulation: the guard
+/// equalities of every transition, found once per system and shared by the
+/// sample pre-filter, the closure self-check ([`closed_on_samples`]) and the
+/// orbit harvest ([`crate::orbit::harvest`]).
+pub struct Stepper<'a> {
+    system: &'a TransitionSystem,
+    /// Per transition, in system order: the expression `e` of each guard
+    /// equality, found as an `e ≥ 0` / `−e ≥ 0` atom pair, in guard order.
+    equalities: Vec<Vec<&'a Lin>>,
+}
+
+impl<'a> Stepper<'a> {
+    /// Finds the guard equalities of every transition of `system`.
+    pub fn new(system: &'a TransitionSystem) -> Self {
+        let equalities = system
+            .transitions()
+            .iter()
+            .map(|transition| {
+                let guard = &transition.guard;
+                let mut exprs = Vec::new();
+                for (i, a) in guard.iter().enumerate() {
+                    for b in &guard[i + 1..] {
+                        if a.expr().add(b.expr()) == Lin::zero() {
+                            exprs.push(a.expr());
+                        }
+                    }
+                }
+                exprs
+            })
+            .collect();
+        Stepper { system, equalities }
+    }
+
+    /// The simulated system.
+    pub(crate) fn system(&self) -> &'a TransitionSystem {
+        self.system
+    }
+
+    /// The successors of `state`, one concrete step along each enabled
+    /// transition, in system order. Lazy, so a short-circuiting consumer
+    /// steps no further than it reads.
+    pub(crate) fn successors<'s>(
+        &'s self,
+        state: &'s BTreeMap<String, Rational>,
+    ) -> impl Iterator<Item = BTreeMap<String, Rational>> + 's {
+        self.system
+            .transitions()
+            .iter()
+            .zip(&self.equalities)
+            .filter_map(move |(transition, equalities)| {
+                concrete_step(self.system, transition, equalities, state)
+            })
+    }
 }
 
 /// Simulates one step from `state`: pins auxiliary variables forced by the
@@ -310,30 +356,25 @@ pub fn closed_on_samples(
 /// satisfied (any remaining unassigned variables default to zero, as in
 /// [`Lin::eval`]).
 ///
-/// The propagation matters for transitions extracted from call contexts,
-/// whose argument values flow through intermediate `aux = e` bindings: a
-/// plain evaluation would read those auxiliaries as zero and disable (or
-/// mis-simulate) the step.
-pub(crate) fn concrete_step(
+/// The equalities are the transition's entry in [`Stepper`], found once per
+/// system from the guard's `e ≥ 0` / `−e ≥ 0` atom pairs. The propagation
+/// matters for transitions extracted from call contexts, whose argument
+/// values flow through intermediate `aux = e` bindings: a plain evaluation
+/// would read those auxiliaries as zero and disable (or mis-simulate) the
+/// step.
+fn concrete_step(
     system: &TransitionSystem,
     transition: &Transition,
+    equalities: &[&Lin],
     state: &BTreeMap<String, Rational>,
 ) -> Option<BTreeMap<String, Rational>> {
     let mut extended = state.clone();
-    // Equalities appear as `e ≥ 0` / `−e ≥ 0` atom pairs; each pins its
-    // single unassigned variable (if any) to the value making `e` zero.
-    let mut eq_exprs: Vec<&Lin> = Vec::new();
-    for (i, a) in transition.guard.iter().enumerate() {
-        for b in &transition.guard[i + 1..] {
-            if a.expr().add(b.expr()) == Lin::zero() {
-                eq_exprs.push(a.expr());
-            }
-        }
-    }
+    // Each equality pins its single unassigned variable (if any) to the value
+    // making its expression zero.
     let mut progress = true;
     while progress {
         progress = false;
-        for expr in &eq_exprs {
+        for expr in equalities {
             let mut unassigned = None;
             let mut ambiguous = false;
             for v in expr.vars() {
@@ -457,13 +498,13 @@ mod tests {
         let p = incrementing_counter();
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
         let samples = vec![env(&[("x", 3)]), env(&[("x", -2)])];
-        let set = synthesize(&p, &candidates, &samples).expect("x >= 0 recurs");
+        let set = synthesize(&Stepper::new(&p), &candidates, &samples).expect("x >= 0 recurs");
         assert_eq!(set.atoms.len(), 1);
         assert!(set.contains(&env(&[("x", 3)])));
         assert!(!set.contains(&env(&[("x", -1)])));
         assert_eq!(set.entry, env(&[("x", 3)]));
         assert!(is_inductive(&p, &set.atoms));
-        assert!(closed_on_samples(&p, &set, &samples));
+        assert!(closed_on_samples(&Stepper::new(&p), &set, &samples));
     }
 
     #[test]
@@ -480,7 +521,7 @@ mod tests {
             guard,
         ));
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
-        assert!(synthesize(&p, &candidates, &[env(&[("x", 5)])]).is_none());
+        assert!(synthesize(&Stepper::new(&p), &candidates, &[env(&[("x", 5)])]).is_none());
     }
 
     #[test]
@@ -492,7 +533,7 @@ mod tests {
             Ineq::ge(Lin::constant(r(5)), Lin::var("x")),
         ];
         let samples = vec![env(&[("x", 5)])];
-        let set = synthesize(&p, &candidates, &samples).expect("x >= 0 survives");
+        let set = synthesize(&Stepper::new(&p), &candidates, &samples).expect("x >= 0 survives");
         assert_eq!(set.atoms, vec![Ineq::ge_zero(Lin::var("x"))]);
     }
 
@@ -501,7 +542,7 @@ mod tests {
         let p = incrementing_counter();
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
         let samples = vec![env(&[("x", -7)])];
-        let set = synthesize(&p, &candidates, &samples).expect("set exists");
+        let set = synthesize(&Stepper::new(&p), &candidates, &samples).expect("set exists");
         assert!(
             set.contains(&set.entry),
             "LP witness must satisfy the atoms"
@@ -511,21 +552,21 @@ mod tests {
     #[test]
     fn empty_candidate_pool_yields_nothing() {
         let p = incrementing_counter();
-        assert!(synthesize(&p, &[], &[env(&[("x", 1)])]).is_none());
+        assert!(synthesize(&Stepper::new(&p), &[], &[env(&[("x", 1)])]).is_none());
     }
 
     #[test]
     fn no_transitions_yields_nothing() {
         let p = loop_over(&["x"]);
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
-        assert!(synthesize(&p, &candidates, &[]).is_none());
+        assert!(synthesize(&Stepper::new(&p), &candidates, &[]).is_none());
     }
 
     #[test]
     fn out_of_scope_candidates_are_ignored() {
         let p = incrementing_counter();
         let candidates = vec![Ineq::ge_zero(Lin::var("y"))];
-        assert!(synthesize(&p, &candidates, &[env(&[("x", 1)])]).is_none());
+        assert!(synthesize(&Stepper::new(&p), &candidates, &[env(&[("x", 1)])]).is_none());
     }
 
     #[test]
@@ -547,10 +588,10 @@ mod tests {
         ));
         let candidates = vec![Ineq::ge_zero(Lin::var("k")), Ineq::ge_zero(Lin::var("j"))];
         let samples = vec![env(&[("j", 0), ("k", 2)])];
-        let set = synthesize(&p, &candidates, &samples).expect("k >= 0 recurs");
+        let set = synthesize(&Stepper::new(&p), &candidates, &samples).expect("k >= 0 recurs");
         assert_eq!(set.atoms, vec![Ineq::ge_zero(Lin::var("k"))]);
         assert!(is_inductive(&p, &set.atoms));
-        assert!(closed_on_samples(&p, &set, &samples));
+        assert!(closed_on_samples(&Stepper::new(&p), &set, &samples));
     }
 
     #[test]
@@ -577,7 +618,7 @@ mod tests {
         let candidates = vec![Ineq::ge_zero(Lin::var("x"))];
         let samples = vec![env(&[("x", 3)])];
         assert!(is_inductive(&p, &candidates), "x >= 0 is closed");
-        assert!(synthesize(&p, &candidates, &samples).is_none());
-        assert!(synthesize_ranked(&p, &candidates, &samples).is_empty());
+        assert!(synthesize(&Stepper::new(&p), &candidates, &samples).is_none());
+        assert!(synthesize_ranked(&Stepper::new(&p), &candidates, &samples).is_empty());
     }
 }

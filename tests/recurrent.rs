@@ -25,7 +25,7 @@
 use hiptnt::infer::{analyze_source, InferOptions, PreconditionKind, Verdict};
 use hiptnt::logic::testgen;
 use hiptnt::solver::farkas;
-use hiptnt::solver::recurrent::{self, RecurrentSet};
+use hiptnt::solver::recurrent::{self, RecurrentSet, Stepper};
 use hiptnt::solver::system::{NodeId, Transition, TransitionSystem};
 use hiptnt::solver::{Ineq, Lin, Rational};
 use hiptnt::suite::templates::nimkar_aperiodic;
@@ -106,7 +106,8 @@ fn assert_closed_if_synthesized(
     candidates: &[Ineq],
     samples: &[BTreeMap<String, Rational>],
 ) -> bool {
-    let Some(set) = recurrent::synthesize(problem, candidates, samples) else {
+    let stepper = Stepper::new(problem);
+    let Some(set) = recurrent::synthesize(&stepper, candidates, samples) else {
         return false;
     };
     assert!(
@@ -115,7 +116,7 @@ fn assert_closed_if_synthesized(
         set.atoms
     );
     assert!(
-        recurrent::closed_on_samples(problem, &set, samples),
+        recurrent::closed_on_samples(&stepper, &set, samples),
         "synthesized set escapes under concrete simulation: {:?}",
         set.atoms
     );
@@ -206,7 +207,7 @@ fn enriched_pool_selects_the_full_region_not_a_difference_slab() {
         Ineq::ge_zero(x().sub(&y())),
     ];
     let samples = rational_samples(&["x", "y"]);
-    let ranked = recurrent::synthesize_ranked(&problem, &candidates, &samples);
+    let ranked = recurrent::synthesize_ranked(&Stepper::new(&problem), &candidates, &samples);
     assert!(!ranked.is_empty(), "the drift shape must certify sets");
     let atoms_of = |set: &RecurrentSet| -> Vec<String> {
         let mut rendered: Vec<String> = set.atoms.iter().map(|a| a.to_string()).collect();
@@ -285,7 +286,8 @@ fn selected_region_is_never_strictly_covered_by_another_certified_set() {
                 Ineq::ge_zero(x().sub(&y())),
                 Ineq::ge_zero(x().add(&y())),
             ];
-            let ranked = recurrent::synthesize_ranked(&problem, &candidates, &samples);
+            let ranked =
+                recurrent::synthesize_ranked(&Stepper::new(&problem), &candidates, &samples);
             let Some(selected) = ranked.first() else {
                 continue;
             };

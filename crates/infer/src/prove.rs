@@ -15,6 +15,9 @@ use tnt_solver::{farkas, ranking, work, Ineq, MeasureItem, Rational};
 /// Converts a context formula into guard cubes usable by the ranking back-end: each
 /// cube is a conjunction of `≥ 0` inequalities (dis-equalities are dropped, which only
 /// weakens the guard and is therefore sound for termination proving).
+///
+/// These are the cubes of the `All` walk, so some may be infeasible: only
+/// `prove_term`'s system drops those (see [`Transitions`]).
 fn guard_cubes(ctx: &Formula) -> Vec<Vec<Ineq>> {
     dnf::to_dnf(ctx)
         .into_iter()
@@ -30,18 +33,42 @@ fn guard_cubes(ctx: &Formula) -> Vec<Vec<Ineq>> {
         .collect()
 }
 
+/// Whether a cube entails `−1 ≥ 0` over the rationals (a Farkas certificate of
+/// infeasibility). Cubes infeasible over the integers only are not caught.
+fn rationally_infeasible(cube: &[Ineq]) -> bool {
+    farkas::implies(cube, &Ineq::ge_zero(Lin::constant(-Rational::one())))
+}
+
+/// Which guard cubes of an SCC's edges become transitions in [`scc_system`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Transitions {
+    /// Only the cubes that are feasible over ℚ: `prove_term`'s system. A
+    /// transition that never fires only adds Farkas rows, and under the affine
+    /// multiplier encoding an infeasible premise set can only rule templates
+    /// out, so dropping it keeps every proof. Over ℚ only: the integer-tightened
+    /// walk (`Walk::Feasible`) would drop more cubes and could change answers.
+    Feasible,
+    /// Every cube: the conditional prover's ranking step and the recurrent and
+    /// orbit system. Filtering these changes summaries (`lit_skip_1`/`_2`
+    /// gain point slices), so it waits for exclusive case partitions.
+    Every,
+}
+
 /// Builds the transition system of an SCC: one node per pre-predicate, one
-/// transition per guard cube of every internal edge. A transition's premises are
-/// the cube's atoms, then the source node's `restriction` atoms (the
-/// entry-restricted conditional proof passes its invariant; the other provers
-/// pass none), then the bindings `@dst{edge}_{cube}_{i} = argᵢ` of the
-/// destination's arguments. `None` when a pre-predicate has no formals in the
-/// store or an edge passes the wrong number of arguments.
+/// transition per guard cube of every internal edge that `transitions` keeps.
+/// A transition's premises are the cube's atoms, then the source node's
+/// `restriction` atoms (the entry-restricted conditional proof passes its
+/// invariant; the other provers pass none), then the bindings
+/// `@dst{edge}_{cube}_{i} = argᵢ` of the destination's arguments. A kept cube
+/// keeps its index among all the edge's cubes, so a dropped cube renames no
+/// LP column. `None` when a pre-predicate has no formals in the store or an
+/// edge passes the wrong number of arguments.
 fn scc_system(
     scc: &[String],
     graph: &ReachGraph,
     theta: &Theta,
     restriction: &BTreeMap<String, Vec<Ineq>>,
+    transitions: Transitions,
 ) -> Option<(TransitionSystem, BTreeMap<String, NodeId>)> {
     let mut system = TransitionSystem::new();
     let mut node_of: BTreeMap<String, NodeId> = BTreeMap::new();
@@ -57,6 +84,9 @@ fn scc_system(
             return None;
         }
         for (cube_index, mut cube) in guard_cubes(&edge.ctx).into_iter().enumerate() {
+            if transitions == Transitions::Feasible && rationally_infeasible(&cube) {
+                continue;
+            }
             if let Some(atoms) = restriction.get(&edge.src) {
                 cube.extend(atoms.iter().cloned());
             }
@@ -114,7 +144,7 @@ pub fn prove_term(
     theta: &Theta,
     options: &SolveOptions,
 ) -> Option<BTreeMap<String, Vec<MeasureItem>>> {
-    let (system, node_of) = scc_system(scc, graph, theta, &BTreeMap::new())?;
+    let (system, node_of) = scc_system(scc, graph, theta, &BTreeMap::new(), Transitions::Feasible)?;
     let measure = synthesize_measure(&system, options)?;
     Some(
         node_of
@@ -264,7 +294,6 @@ pub fn prove_term_conditional(
     //    known to terminate must be infeasible under the source node's inductive
     //    atoms, certified by Farkas rational infeasibility. Otherwise a region
     //    state could escape into a possibly-diverging continuation.
-    let absurd = Ineq::ge_zero(Lin::constant(-Rational::one()));
     for edge in &graph.edges {
         if !members.contains(&edge.src) {
             continue;
@@ -281,14 +310,14 @@ pub fn prove_term_conditional(
         for cube in guard_cubes(&edge.ctx) {
             let mut premises = cube;
             premises.extend(src_atoms.iter().cloned());
-            if !farkas::implies(&premises, &absurd) {
+            if !rationally_infeasible(&premises) {
                 return None;
             }
         }
     }
     // 5. Ranking synthesis on the invariant-restricted transitions, through the
     //    full fall-back chain (linear → lexicographic/max → multiphase).
-    let (system, node_of) = scc_system(scc, graph, theta, &atoms)?;
+    let (system, node_of) = scc_system(scc, graph, theta, &atoms, Transitions::Every)?;
     let measure = synthesize_measure(&system, options)?;
     Some(
         node_of
@@ -599,7 +628,7 @@ pub fn prove_nonterm_recurrent(
     let guard = theta.guard_of_pre(pre)?.clone();
     let formals: BTreeSet<&str> = vars.iter().map(String::as_str).collect();
     let over_formals = |atom: &Ineq| atom.expr().vars().all(|v| formals.contains(v));
-    let (system, _) = scc_system(scc, graph, theta, &BTreeMap::new())?;
+    let (system, _) = scc_system(scc, graph, theta, &BTreeMap::new(), Transitions::Every)?;
     if system.transitions().is_empty() {
         return None;
     }
@@ -921,8 +950,14 @@ mod tests {
         let graph = ReachGraph::build(vec![call], std::slice::from_ref(&pre));
         let restriction =
             BTreeMap::from([(pre.clone(), vec![Ineq::ge_zero(var("x").sub(&num(2)))])]);
-        let (system, node_of) =
-            scc_system(std::slice::from_ref(&pre), &graph, &theta, &restriction).unwrap();
+        let (system, node_of) = scc_system(
+            std::slice::from_ref(&pre),
+            &graph,
+            &theta,
+            &restriction,
+            Transitions::Every,
+        )
+        .unwrap();
         let node = node_of[&pre];
         assert_eq!(system.formals(node), ["x", "y"]);
         let rendered: Vec<(Vec<String>, Vec<String>)> = system
@@ -953,6 +988,119 @@ mod tests {
             )
         };
         assert_eq!(rendered, [cube("-y - 1 >= 0", 0), cube("y >= 0", 1)]);
+    }
+
+    /// `f(x)` calling `f(x - 1)` once, with one guard cube per disjunct.
+    fn countdown(disjuncts: Vec<Formula>) -> (String, Theta, ReachGraph) {
+        let pre = "Upr_f#0".to_string();
+        let mut theta = Theta::new();
+        theta.register(&pre, "Upo_f#0", vec!["x".to_string()]);
+        let call = Edge {
+            src: pre.clone(),
+            ctx: Formula::or(disjuncts),
+            target: EdgeTarget::Unknown {
+                pre: pre.clone(),
+                args: vec![var("x").sub(&num(1))],
+            },
+        };
+        let graph = ReachGraph::build(vec![call], std::slice::from_ref(&pre));
+        (pre, theta, graph)
+    }
+
+    /// `x ≥ 1 ∧ x ≤ 0`: infeasible over ℚ.
+    fn empty_interval() -> Formula {
+        Formula::and(vec![
+            Constraint::ge(var("x"), num(1)).into(),
+            Constraint::le(var("x"), num(0)).into(),
+        ])
+    }
+
+    /// The destination names of each transition of an SCC's system.
+    fn binding_names(
+        pre: &str,
+        theta: &Theta,
+        graph: &ReachGraph,
+        restriction: &BTreeMap<String, Vec<Ineq>>,
+        transitions: Transitions,
+    ) -> Vec<Vec<String>> {
+        let (system, _) =
+            scc_system(&[pre.to_string()], graph, theta, restriction, transitions).unwrap();
+        system
+            .transitions()
+            .iter()
+            .map(|t| t.dst_vars.clone())
+            .collect()
+    }
+
+    #[test]
+    fn prove_term_system_drops_a_rationally_infeasible_cube() {
+        let feasible: Formula = Constraint::ge(var("x"), num(1)).into();
+        let (pre, theta, graph) = countdown(vec![feasible, empty_interval()]);
+        let none = BTreeMap::new();
+        let (system, _) = scc_system(&[pre], &graph, &theta, &none, Transitions::Feasible).unwrap();
+        let guards: Vec<Vec<String>> = system
+            .transitions()
+            .iter()
+            .map(|t| t.guard.iter().map(ToString::to_string).collect())
+            .collect();
+        assert_eq!(
+            guards,
+            [[
+                "x - 1 >= 0",
+                "@dst0_0_0 - x + 1 >= 0",
+                "-@dst0_0_0 + x - 1 >= 0"
+            ]]
+        );
+    }
+
+    /// `2x − 1 = 0` has a rational solution and no integer one: the ℚ filter
+    /// keeps it.
+    #[test]
+    fn prove_term_system_keeps_a_cube_infeasible_over_the_integers_only() {
+        let half = Constraint::eq(var("x").scale(Rational::from(2)), num(1)).into();
+        let (pre, theta, graph) = countdown(vec![half]);
+        assert_eq!(
+            binding_names(
+                &pre,
+                &theta,
+                &graph,
+                &BTreeMap::new(),
+                Transitions::Feasible
+            ),
+            [["@dst0_0_0"]]
+        );
+    }
+
+    /// Dropping cube 0 renames no column: the kept cube is still cube 1.
+    #[test]
+    fn prove_term_system_keeps_the_original_cube_index() {
+        let feasible: Formula = Constraint::ge(var("x"), num(1)).into();
+        let (pre, theta, graph) = countdown(vec![empty_interval(), feasible]);
+        assert_eq!(
+            binding_names(
+                &pre,
+                &theta,
+                &graph,
+                &BTreeMap::new(),
+                Transitions::Feasible
+            ),
+            [["@dst0_1_0"]]
+        );
+    }
+
+    /// The recurrent/orbit system (no restriction) and the conditional
+    /// prover's ranking step (an invariant restriction) keep every cube.
+    #[test]
+    fn recurrent_and_conditional_systems_keep_every_cube() {
+        let feasible: Formula = Constraint::ge(var("x"), num(1)).into();
+        let (pre, theta, graph) = countdown(vec![empty_interval(), feasible]);
+        let invariant = BTreeMap::from([(pre.clone(), vec![Ineq::ge_zero(var("x").sub(&num(2)))])]);
+        for restriction in [BTreeMap::new(), invariant] {
+            assert_eq!(
+                binding_names(&pre, &theta, &graph, &restriction, Transitions::Every),
+                [["@dst0_0_0"], ["@dst0_1_0"]]
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! Peak-memory gate for the simplex kernel.
+//! Peak-memory gate for the analyzer and the simplex kernel.
 //!
-//! `mem_walk`'s lexicographic ranking LP is the widest of the corpus: 1,008
-//! rows over 3,948 tableau columns, under half a percent non-zero. A dense
-//! tableau of it takes about 127 MB; the sparse rows hold only its non-zeros.
+//! `mem_walk`'s analysis once built the corpus's widest ranking LP. Its ranking
+//! system now keeps only the rationally feasible transitions, so its largest
+//! LP has 112 rows. The same test therefore also solves the seeded wide block
+//! program the simplex pin test uses: 1,000 rows over 3,002 structural
+//! columns, sparse, filling in several-fold as it pivots. A dense tableau of
+//! it would take over 100 MB; the sparse rows hold only its non-zeros.
 //! This file has exactly one test, so the process's high-water mark is that
-//! analysis's own.
+//! of these two workloads alone.
+
+use tnt_solver::simplex::{self, SimplexOutcome};
 
 #[test]
 fn mem_walk_analysis_peaks_under_48_mib() {
@@ -16,6 +21,13 @@ fn mem_walk_analysis_peaks_under_48_mib() {
     let result = tnt_infer::analyze_source(&program.source, &tnt_infer::InferOptions::default())
         .expect("mem_walk is analysable");
     assert!(!result.summaries.is_empty());
+
+    let wide = simplex::wide_block_program(1, 125);
+    assert_eq!((wide.rows.len(), wide.num_vars), (1000, 3002));
+    assert!(matches!(
+        simplex::solve(&wide),
+        SimplexOutcome::Optimal { .. }
+    ));
 
     #[cfg(target_os = "linux")]
     {
